@@ -4,22 +4,30 @@
     cellstage transform --config F --x R --y R
     cellstage verify [--samples N] [--seed N]
 
-Exit codes: 0 ok, 1 property failure, 2 usage/config error, 3 numerical
-failure. All numbers are printed with 17 significant digits and a '.'
-decimal separator regardless of locale; identical inputs give byte-identical
-output. There is no environment-variable configuration.
+Exit codes: 0 ok, 1 property failure, 2 usage/config error (file errors
+included), 3 numerical failure. All numbers are printed with 17 significant
+digits and a '.' decimal separator regardless of locale; identical inputs
+give byte-identical output. `simulate` replaces --out only with a complete
+CSV. There is no environment-variable configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 from . import propcheck
 from .dynamics import Trajectory, simulate
 from .errors import DomainError, ParseError
-from .frames import StagePoint, stage_to_camera, stage_to_image
+from .frames import (
+    StagePoint,
+    stage_to_camera,
+    stage_to_camera_columns,
+    stage_to_image,
+    stage_to_image_columns,
+)
 from .scenario import ScenarioConfig, parse_config
 
 EXIT_OK = 0
@@ -34,39 +42,58 @@ def _load_config(path: str) -> ScenarioConfig:
     return parse_config(Path(path).read_bytes())
 
 
-def render_trajectory_csv(traj: Trajectory, config: ScenarioConfig) -> str:
-    """CSV text with stage, camera, and image coordinates per sample."""
-    rows = [CSV_HEADER]
-    for state in traj:
-        p = StagePoint(state.x, state.y)
-        cam = stage_to_camera(p, config.calibration)
-        img = stage_to_image(p, config.calibration)
-        rows.append(
-            ",".join(
-                f"{value:.17g}"
-                for value in (
-                    state.t,
-                    state.x,
-                    state.y,
-                    state.xdot,
-                    state.ydot,
-                    cam.xc,
-                    cam.yc,
-                    img.u,
-                    img.v,
+#: One CSV row: every field with 17 significant digits.
+_CSV_ROW = ",".join(["%.17g"] * 9) + "\n"
+
+#: Rows rendered and written per chunk by cmd_simulate.
+_CSV_CHUNK_ROWS = 4096
+
+
+def render_trajectory_csv(
+    traj: Trajectory, config: ScenarioConfig, start: int = 0, stop: int | None = None
+) -> str:
+    """CSV text with stage, camera, and image coordinates per sample.
+
+    Renders rows start..stop-1 (all rows by default); the header line leads
+    when start is 0. Raises DomainError if a camera or image coordinate is
+    not finite.
+    """
+    rows = slice(start, stop)
+    x = traj.x[rows]
+    y = traj.y[rows]
+    xc, yc = stage_to_camera_columns(x, y, config.calibration)
+    u, v = stage_to_image_columns(x, y, config.calibration)
+    t = traj.times(start, stop)
+    columns = (t, x, y, traj.xdot[rows], traj.ydot[rows], xc, yc, u, v)
+    body = "".join(map(_CSV_ROW.__mod__, zip(*columns)))
+    return CSV_HEADER + "\n" + body if start == 0 else body
+
+
+def _write_csv(traj: Trajectory, config: ScenarioConfig, out_path: str) -> None:
+    """Stream the CSV to a temporary file beside out_path, then rename it.
+
+    On any failure the temporary file is removed and out_path is untouched.
+    """
+    directory, name = os.path.split(os.path.abspath(out_path))
+    tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="\n") as handle:
+            for start in range(0, len(traj), _CSV_CHUNK_ROWS):
+                handle.write(
+                    render_trajectory_csv(traj, config, start, start + _CSV_CHUNK_ROWS)
                 )
-            )
-        )
-    return "\n".join(rows) + "\n"
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
 
 
 def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
     traj = simulate(
         config.masses, config.initial, config.wrench, config.dt, config.t_end
     )
-    text = render_trajectory_csv(traj, config)
-    with open(out_path, "w", newline="\n") as handle:
-        handle.write(text)
+    _write_csv(traj, config, out_path)
     return EXIT_OK
 
 
@@ -124,10 +151,7 @@ def main(argv: list[str] | None = None) -> int:
                 print("error: --samples must be >= 1", file=sys.stderr)
                 return EXIT_CONFIG_ERROR
             return cmd_verify(args.samples, args.seed)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except (ParseError, DomainError) as exc:
+    except (OSError, ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except OverflowError as exc:

@@ -12,13 +12,17 @@ constant, not a parameter. Units are read as SI (kg, N, N*m, s).
 Both axes decouple, each a first-order linear ODE in the velocity, which is
 what makes the closed-form solutions below possible. `simulate` integrates
 the generic first-order system with classical fixed-step RK4 through the
-selected kernel backend.
+selected kernel backend and returns a columnar `Trajectory`: the start time,
+the step, and the four state columns the kernel produced, with no per-sample
+objects unless a caller indexes or iterates it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from . import _backend
@@ -32,6 +36,7 @@ from .linalg2 import (
     mat_mul,
     mat_vec_mul,
     _require_finite,
+    _require_finite_column,
 )
 
 #: Masses below this are rejected so exp(-t/M) stays evaluable.
@@ -115,45 +120,63 @@ class StageState:
             _require_finite(name, value)
 
 
-#: Allowed absolute deviation of consecutive timestamps from the nominal dt.
-_STEP_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled sequence of stage states.
+    """Uniformly sampled stage states, held as columns.
 
-    Timestamps must be strictly increasing with spacing within 1e-12 of dt.
+    Sample i is at time t0 + i*dt with state (x[i], y[i], xdot[i], ydot[i]).
+    The columns are kept as given; a StageState is built only when a sample
+    is indexed or iterated. Every column value must be finite and the time
+    column must be strictly increasing.
     """
 
-    samples: tuple[StageState, ...]
-    dt: float
+    __slots__ = ("t0", "dt", "x", "y", "xdot", "ydot")
 
-    def __post_init__(self):
-        if not self.samples:
+    def __init__(self, t0: float, dt: float, x, y, xdot, ydot):
+        _require_finite("t0", t0)
+        _require_finite("dt", dt)
+        n = len(x)
+        if n == 0:
             raise DomainError("trajectory must contain at least one sample")
-        for prev, cur in zip(self.samples, self.samples[1:]):
-            if not cur.t > prev.t:
+        for name, column in (("x", x), ("y", y), ("xdot", xdot), ("ydot", ydot)):
+            if len(column) != n:
                 raise DomainError(
-                    f"timestamps must be strictly increasing: {prev.t!r} -> {cur.t!r}"
+                    f"column {name} has {len(column)} samples, x has {n}"
                 )
-            if abs((cur.t - prev.t) - self.dt) > _STEP_TOLERANCE:
-                raise DomainError(
-                    f"non-uniform step {cur.t - prev.t!r} vs dt={self.dt!r}"
-                )
+            _require_finite_column(name, column)
+        self.t0 = t0
+        self.dt = dt
+        self.x = x
+        self.y = y
+        self.xdot = xdot
+        self.ydot = ydot
+        t = self.times()
+        if not all(map(operator.lt, t, islice(t, 1, None))):
+            i = next(i for i in range(n - 1) if not t[i] < t[i + 1])
+            raise DomainError(
+                f"timestamps must be strictly increasing: {t[i]!r} -> {t[i + 1]!r}"
+            )
+
+    def times(self, start: int = 0, stop: int | None = None) -> list[float]:
+        """The time column t0 + i*dt, for rows start..stop-1 (default: all)."""
+        t0 = self.t0
+        dt = self.dt
+        return [t0 + i * dt for i in range(len(self.x))[start:stop]]
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.x)
 
     def __iter__(self) -> Iterator[StageState]:
-        return iter(self.samples)
+        return map(StageState, self.times(), self.x, self.y, self.xdot, self.ydot)
 
     def __getitem__(self, index: int) -> StageState:
-        return self.samples[index]
+        i = range(len(self.x))[index]
+        return StageState(
+            self.t0 + i * self.dt, self.x[i], self.y[i], self.xdot[i], self.ydot[i]
+        )
 
     @property
     def final(self) -> StageState:
-        return self.samples[-1]
+        return self[-1]
 
 
 def mass_matrix(m: MassParams) -> Mat2:
@@ -300,11 +323,7 @@ def simulate(
         dt,
         n_steps,
     )
-    samples = tuple(
-        StageState(t=init.t + i * dt, x=xs[i], y=ys[i], xdot=vxs[i], ydot=vys[i])
-        for i in range(n_steps + 1)
-    )
-    return Trajectory(samples=samples, dt=dt)
+    return Trajectory(init.t, dt, xs, ys, vxs, vys)
 
 
 def homogeneous_residual_maxnorm(

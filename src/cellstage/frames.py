@@ -3,8 +3,11 @@
 The stage frame sits on the positioning table holding the cells, the camera
 frame on the microscope optics, the image frame on the pixel plane. A planar
 rotation `alpha` plus displacement (dx, dy) maps stage to camera; per-axis
-display-resolution scales (fx, fy) map camera to image. All maps here are
-pointwise; callers map them over trajectory samples.
+display-resolution scales (fx, fy) map camera to image. Each map takes one
+point; `stage_to_camera_columns` and `stage_to_image_columns` apply the
+same arithmetic, expression for expression, to whole coordinate columns, so
+a trajectory is transformed without one point object per sample and with
+bit-identical results.
 
 The three point types are deliberately distinct so a frame mix-up is a type
 error rather than a silent bug.
@@ -14,9 +17,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import DomainError
-from .linalg2 import DEFAULT_SINGULAR_EPS, Mat2, Vec2, inverse2, mat_vec_mul, _require_finite
+from .linalg2 import (
+    DEFAULT_SINGULAR_EPS,
+    Mat2,
+    Vec2,
+    inverse2,
+    mat_vec_mul,
+    _require_finite,
+    _require_finite_column,
+)
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -148,6 +160,41 @@ def stage_to_image(p: StagePoint, c: Calibration) -> ImagePoint:
     linear = mat_vec_mul(transformation_matrix(c), p.vec())
     mapped = linear + Vec2(c.fx * c.dx, c.fy * c.dy)
     return ImagePoint(mapped.e1, mapped.e2)
+
+
+def stage_to_camera_columns(
+    xs: Sequence[float], ys: Sequence[float], c: Calibration
+) -> tuple[list[float], list[float]]:
+    """stage_to_camera over columns: (xc, yc) lists, bit-equal per row.
+
+    Raises DomainError if any mapped coordinate is not finite.
+    """
+    a11, a12, a21, a22 = rotation_matrix(c.alpha)
+    d = displacement_vector(c.dx, c.dy)
+    dx = d.e1
+    dy = d.e2
+    xc = [(a11 * x + a12 * y) + dx for x, y in zip(xs, ys)]
+    yc = [(a21 * x + a22 * y) + dy for x, y in zip(xs, ys)]
+    _require_finite_column("xc", xc)
+    _require_finite_column("yc", yc)
+    return xc, yc
+
+
+def stage_to_image_columns(
+    xs: Sequence[float], ys: Sequence[float], c: Calibration
+) -> tuple[list[float], list[float]]:
+    """stage_to_image over columns: (u, v) lists, bit-equal per row.
+
+    Raises DomainError if any mapped coordinate is not finite.
+    """
+    t11, t12, t21, t22 = transformation_matrix(c)
+    fdx = c.fx * c.dx
+    fdy = c.fy * c.dy
+    u = [(t11 * x + t12 * y) + fdx for x, y in zip(xs, ys)]
+    v = [(t21 * x + t22 * y) + fdy for x, y in zip(xs, ys)]
+    _require_finite_column("u", u)
+    _require_finite_column("v", v)
+    return u, v
 
 
 def image_to_stage(

@@ -23,6 +23,13 @@ def _require_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite, got {value!r}")
 
 
+def _require_finite_column(name: str, column) -> None:
+    """Whole-column finiteness check; names the first bad index."""
+    if not all(map(math.isfinite, column)):
+        index = next(i for i, v in enumerate(column) if not math.isfinite(v))
+        raise DomainError(f"{name}[{index}] must be finite, got {column[index]!r}")
+
+
 @dataclass(frozen=True)
 class Vec2:
     """Immutable 2-vector. Components must be finite."""

@@ -18,7 +18,10 @@ by one extra line:
     counterexample sample_index=<i> <name>=<value> ...
 
 listing every drawn input of the worst sample, in draw order, enough to
-replay the evaluation by hand.
+replay the evaluation by hand. A sample that cannot be judged fails the
+property at once: a NaN violation is reported as max_violation nan with
+that sample's inputs, and an evaluator exception as nan with
+`error=<exception type>` in place of the inputs.
 
 Violations are normalized so "pass" is scale-free: algebraic identities
 divide the absolute deviation by the natural magnitude of the computation
@@ -41,6 +44,9 @@ from .linalg2 import Mat2, Vec2, determinant, inverse2, mat_mul, mat_vec_mul
 
 DEFAULT_SAMPLES = 1000
 DEFAULT_SEED = 42
+
+#: Largest accepted seed: the stream state is 64 bits wide.
+_MAX_SEED = 2**64 - 1
 
 #: Points of the [0, 10] residual grid each THM4_HOMOG_SOLUTION draw sweeps.
 _THM4_GRID_POINTS = 101
@@ -95,7 +101,7 @@ class PropertyReport:
     tolerance: float
     status: str
     seed: int
-    counterexample: tuple[tuple[str, float], ...] | None = None
+    counterexample: tuple[tuple[str, float | int | str], ...] | None = None
 
     @property
     def passed(self) -> bool:
@@ -103,7 +109,7 @@ class PropertyReport:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
     return f"{value:.17g}"
 
@@ -471,14 +477,15 @@ def _max_error_vs_analytic(
 ) -> float:
     traj = dynamics.simulate(m, init, w, dt, (n_steps + 0.5) * dt)
     worst = 0.0
-    for state in traj:
-        exact = dynamics.analytic_constant_input_solution(m, init, w, state.t)
+    columns = zip(traj.times(), traj.x, traj.y, traj.xdot, traj.ydot)
+    for t, x, y, xdot, ydot in columns:
+        exact = dynamics.analytic_constant_input_solution(m, init, w, t)
         worst = max(
             worst,
-            abs(state.x - exact.x),
-            abs(state.y - exact.y),
-            abs(state.xdot - exact.xdot),
-            abs(state.ydot - exact.ydot),
+            abs(x - exact.x),
+            abs(y - exact.y),
+            abs(xdot - exact.xdot),
+            abs(ydot - exact.ydot),
         )
     return worst
 
@@ -556,14 +563,20 @@ def check_theorem(
 ) -> PropertyReport:
     """Run one registered property over `samples` pseudo-random draws.
 
-    Deterministic in (property_id, domain, samples, seed). Raises
-    UnknownPropertyError for an unregistered id and DomainError for
-    samples < 1.
+    Deterministic in (property_id, domain, samples, seed). A sample whose
+    violation is NaN, or whose evaluator raises, cannot be judged: the
+    first such sample ends the run and fails the property with a NaN
+    max_violation and that sample as the counterexample (its drawn inputs,
+    or the exception's type name as `error`). Raises UnknownPropertyError
+    for an unregistered id and DomainError for samples < 1 or a seed
+    outside [0, 2^64).
     """
     if property_id not in PROPERTIES:
         raise UnknownPropertyError(f"unknown property id {property_id!r}")
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples!r}")
+    if not 0 <= seed <= _MAX_SEED:
+        raise DomainError(f"seed must be in [0, 2^64), got {seed!r}")
     tolerance, evaluator = PROPERTIES[property_id]
     for pid, override in domain.unstable_tolerance_overrides:
         if pid == property_id:
@@ -573,11 +586,17 @@ def check_theorem(
     worst_inputs: dict | None = None
     worst_index = 0
     for index in range(samples):
-        violation, inputs = evaluator(rng, domain)
-        if violation > max_violation or worst_inputs is None:
+        try:
+            violation, inputs = evaluator(rng, domain)
+        except Exception as exc:
+            violation, inputs = math.nan, {"error": type(exc).__name__}
+        unjudged = math.isnan(violation)
+        if unjudged or violation > max_violation or worst_inputs is None:
             max_violation = violation
             worst_inputs = inputs
             worst_index = index
+        if unjudged:
+            break
     if max_violation <= tolerance:
         return PropertyReport(
             property_id, samples, max_violation, tolerance, "pass", seed

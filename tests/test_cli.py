@@ -171,6 +171,68 @@ class TestSimulate:
         assert result.returncode == 2
         assert "mx must be positive" in result.stderr
 
+    def test_long_horizon_times_are_exact(self, tmp_path):
+        # Timestamps past ~8192 s are no longer spaced within 1e-12 of dt;
+        # the run must still succeed with t = i*dt on every row.
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(TRANSLATION_ONLY.replace("t_end = 1.0", "t_end = 9000.0"))
+        out = tmp_path / "long.csv"
+        result = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 90_001
+        assert all(float(row.split(",", 1)[0]) == i * 0.1 for i, row in enumerate(rows))
+
+    def test_non_finite_image_column_exits_2_and_leaves_no_file(self, tmp_path):
+        # u = fx*x + fx*dx overflows once x passes ~1.8e8, about 28,000 rows
+        # in: several chunks have been written by then.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(
+            TRANSLATION_ONLY.replace("fx = 1.0", "fx = 1e300")
+            .replace("taux = 0.0", "taux = 1e8")
+            .replace("dt = 0.1", "dt = 1e-4")
+            .replace("t_end = 1.0", "t_end = 3.0")
+        )
+        out = tmp_path / "wide.csv"
+        out.write_text("previous contents\n")
+        code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert out.read_text() == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cfg", "wide.csv"]
+        out.unlink()
+        result = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 2
+        assert "u[" in result.stderr and "must be finite" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cfg"]
+
+    def test_out_is_directory_exits_2(self, translation_config, tmp_path):
+        target = tmp_path / "outdir"
+        target.mkdir()
+        result = run_cli(
+            "simulate", "--config", str(translation_config), "--out", str(target)
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "translation.cfg"]
+        assert list(target.iterdir()) == []
+
+    def test_config_is_directory_exits_2(self, tmp_path):
+        result = run_cli(
+            "simulate", "--config", str(tmp_path), "--out", str(tmp_path / "x.csv")
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_missing_out_directory_exits_2(self, translation_config, tmp_path):
+        out = tmp_path / "no_such_dir" / "x.csv"
+        result = run_cli("simulate", "--config", str(translation_config), "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+
 
 class TestVerify:
     def test_small_run_green(self):
@@ -194,6 +256,31 @@ class TestVerify:
     def test_zero_samples_is_usage_error(self):
         result = run_cli("verify", "--samples", "0")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_usage_error(self, seed, capsys):
+        assert cli.main(["verify", "--samples", "1", "--seed", str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be in [0, 2^64)" in captured.err
+
+    def test_largest_64_bit_seed_is_accepted(self, capsys):
+        seed = 2**64 - 1
+        assert cli.main(["verify", "--samples", "1", "--seed", str(seed)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(propcheck.PROPERTIES)
+        assert all(line.split()[1:3] == ["pass", "1"] for line in lines)
+        assert all(line.split()[5] == str(seed) for line in lines)
+
+    def test_unjudged_sample_fails_verify(self, monkeypatch, capsys):
+        def raises(rng, dom):
+            raise OverflowError("math range error")
+
+        monkeypatch.setitem(propcheck.PROPERTIES, "FAKE_RAISES", (1e-12, raises))
+        assert cli.main(["verify", "--samples", "2", "--seed", "42"]) == 1
+        out = capsys.readouterr().out
+        assert "FAKE_RAISES fail 2 nan 9.9999999999999998e-13 42\n" in out
+        assert "counterexample sample_index=0 error=OverflowError\n" in out
 
     def test_mutation_fails_with_counterexample(self, monkeypatch, capsys):
         true_rotation = frames.rotation_matrix

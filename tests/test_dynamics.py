@@ -366,20 +366,38 @@ class TestSimulate:
 class TestTrajectory:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
-            Trajectory(samples=(), dt=0.1)
+            Trajectory(0.0, 0.1, [], [], [], [])
 
     def test_rejects_non_increasing_times(self):
-        a = StageState(0.0, 0, 0, 0, 0)
-        b = StageState(0.0, 1, 1, 0, 0)
         with pytest.raises(DomainError):
-            Trajectory(samples=(a, b), dt=0.1)
+            Trajectory(0.0, 0.0, [0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
+        # t0 + dt rounds back to t0: the time column does not increase.
+        with pytest.raises(DomainError, match="strictly increasing"):
+            Trajectory(1e20, 1.0, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
 
-    def test_rejects_non_uniform_step(self):
-        a = StageState(0.0, 0, 0, 0, 0)
-        b = StageState(0.1, 0, 0, 0, 0)
-        c = StageState(0.3, 0, 0, 0, 0)
+    @pytest.mark.parametrize("column", ["x", "y", "xdot", "ydot"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_column(self, column, bad):
+        columns = {name: [0.0, 1.0, 2.0] for name in ("x", "y", "xdot", "ydot")}
+        columns[column][2] = bad
+        with pytest.raises(DomainError, match=rf"{column}\[2\] must be finite"):
+            Trajectory(0.0, 0.1, **columns)
+
+    def test_rejects_ragged_columns(self):
         with pytest.raises(DomainError):
-            Trajectory(samples=(a, b, c), dt=0.1)
+            Trajectory(0.0, 0.1, [0.0, 1.0], [0.0], [0.0, 1.0], [0.0, 1.0])
+
+    def test_states_are_built_from_columns(self):
+        traj = Trajectory(
+            2.0, 0.5, [1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.1, 0.2, 0.3], [0.0] * 3
+        )
+        assert len(traj) == 3
+        assert traj.times() == [2.0, 2.5, 3.0]
+        assert traj[1] == StageState(2.5, 2.0, 5.0, 0.2, 0.0)
+        assert traj[-1] == traj.final == StageState(3.0, 3.0, 6.0, 0.3, 0.0)
+        assert list(traj) == [traj[0], traj[1], traj[2]]
+        with pytest.raises(IndexError):
+            traj[3]
 
 
 class TestImageSpaceDynamics:

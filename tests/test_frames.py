@@ -17,7 +17,9 @@ from cellstage.frames import (
     image_to_stage,
     rotation_matrix,
     stage_to_camera,
+    stage_to_camera_columns,
     stage_to_image,
+    stage_to_image_columns,
     transformation_matrix,
 )
 from cellstage.linalg2 import IDENTITY, Mat2, Vec2, determinant, mat_mul
@@ -239,3 +241,35 @@ class TestImageToStage:
         bad = degenerate_calibration(alpha=0.0, dx=1.0, dy=1.0, fx=0.0, fy=1.0)
         with pytest.raises(SingularError):
             image_to_stage(ImagePoint(1.0, 1.0), bad)
+
+
+class TestColumnTransforms:
+    def test_bit_equal_to_pointwise(self):
+        rng = SplitMix64(2024)
+        for _ in range(20):
+            c = Calibration(
+                alpha=rng.uniform(-math.pi, math.pi),
+                dx=rng.uniform_open_low(10.0),
+                dy=rng.uniform_open_low(10.0),
+                fx=rng.log_uniform(0.1, 100.0),
+                fy=rng.log_uniform(0.1, 100.0),
+            )
+            xs = [rng.uniform(-1e3, 1e3) for _ in range(50)] + [0.0, -0.0]
+            ys = [rng.uniform(-1e3, 1e3) for _ in range(50)] + [-0.0, 0.0]
+            xc, yc = stage_to_camera_columns(xs, ys, c)
+            u, v = stage_to_image_columns(xs, ys, c)
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                cam = stage_to_camera(StagePoint(x, y), c)
+                img = stage_to_image(StagePoint(x, y), c)
+                assert (xc[i].hex(), yc[i].hex()) == (cam.xc.hex(), cam.yc.hex())
+                assert (u[i].hex(), v[i].hex()) == (img.u.hex(), img.v.hex())
+
+    def test_non_finite_image_column_raises(self):
+        c = Calibration(alpha=0.0, dx=1.0, dy=1.0, fx=1e300, fy=1.0)
+        with pytest.raises(DomainError, match=r"u\[1\] must be finite"):
+            stage_to_image_columns([0.0, 1e9], [0.0, 0.0], c)
+
+    def test_non_finite_camera_column_raises(self):
+        c = Calibration(alpha=math.pi / 4, dx=1.0, dy=1.0, fx=1.0, fy=1.0)
+        with pytest.raises(DomainError, match=r"xc\[0\] must be finite"):
+            stage_to_camera_columns([1.7e308], [1.7e308], c)

@@ -140,6 +140,76 @@ class TestRunAll:
         assert alone == within[0]
 
 
+class TestUnjudgedSamples:
+    """A sample whose violation is NaN, or whose evaluator raises, fails."""
+
+    @staticmethod
+    def fake(at, outcome, others=0.0):
+        """Evaluator giving violation `others` on every sample but sample `at`."""
+        calls = []
+
+        def evaluate(rng, dom):
+            index = len(calls)
+            calls.append(index)
+            draw = rng.uniform(0.0, 1.0)
+            if index == at:
+                return outcome(draw)
+            return others, {"draw": draw}
+
+        return evaluate, calls
+
+    def test_nan_after_first_sample_fails(self, monkeypatch):
+        evaluate, calls = self.fake(5, lambda draw: (math.nan, {"draw": draw}))
+        monkeypatch.setitem(PROPERTIES, "FAKE_NAN", (1e-12, evaluate))
+        report = check_theorem("FAKE_NAN", samples=20, seed=42)
+        assert report.status == "fail"
+        assert math.isnan(report.max_violation)
+        assert report.counterexample[0] == ("sample_index", 5)
+        assert report.counterexample[1][0] == "draw"
+        assert calls == list(range(6))
+        assert format_report(report).startswith("FAKE_NAN fail 20 nan ")
+
+    def test_nan_at_first_sample_fails(self, monkeypatch):
+        evaluate, _ = self.fake(0, lambda draw: (math.nan, {"draw": draw}))
+        monkeypatch.setitem(PROPERTIES, "FAKE_NAN", (1e-12, evaluate))
+        report = check_theorem("FAKE_NAN", samples=3, seed=42)
+        assert report.status == "fail"
+        assert report.counterexample[0] == ("sample_index", 0)
+
+    def test_nan_after_a_larger_violation_still_fails(self, monkeypatch):
+        evaluate, _ = self.fake(2, lambda draw: (math.nan, {}), others=1.0)
+        monkeypatch.setitem(PROPERTIES, "FAKE_NAN", (10.0, evaluate))
+        report = check_theorem("FAKE_NAN", samples=5, seed=42)
+        assert report.status == "fail"
+        assert report.counterexample == (("sample_index", 2),)
+
+    def test_evaluator_exception_fails(self, monkeypatch):
+        def overflow(draw):
+            raise OverflowError("math range error")
+
+        evaluate, calls = self.fake(3, overflow)
+        monkeypatch.setitem(PROPERTIES, "FAKE_RAISES", (1e-12, evaluate))
+        report = check_theorem("FAKE_RAISES", samples=10, seed=42)
+        assert report.status == "fail"
+        assert math.isnan(report.max_violation)
+        assert report.counterexample == (("sample_index", 3), ("error", "OverflowError"))
+        assert calls == list(range(4))
+        assert format_report(report).endswith(
+            "\ncounterexample sample_index=3 error=OverflowError"
+        )
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(DomainError):
+            check_theorem("THM1_CAMERA_STAGE", samples=1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_accepts_64_bit_bounds(self, seed):
+        assert check_theorem("THM1_CAMERA_STAGE", samples=1, seed=seed).passed
+
+
 class TestReportFormat:
     def test_pass_line_fields(self):
         report = check_theorem("THM2_IMAGE_CAMERA", samples=FAST, seed=42)
