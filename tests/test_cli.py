@@ -3,6 +3,7 @@ import math
 import pytest
 
 from cellstage import cli, frames, propcheck
+from cellstage.dynamics import MAX_STEPS
 from cellstage.frames import Calibration, StagePoint, stage_to_image
 from cellstage.linalg2 import Mat2
 
@@ -205,6 +206,24 @@ class TestSimulate:
         assert "u[" in result.stderr and "must be finite" in result.stderr
         assert "Traceback" not in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cfg"]
+
+    def test_horizon_above_step_cap_exits_2_and_leaves_no_file(self, tmp_path):
+        # dt = 0.5 and t_end = 0.5 * (MAX_STEPS + 1) are exact, so the
+        # horizon needs one step more than the cap. Only the error path
+        # runs; nothing cap-sized is simulated.
+        cfg = tmp_path / "capped.cfg"
+        cfg.write_text(
+            TRANSLATION_ONLY.replace("dt = 0.1", "dt = 0.5").replace(
+                "t_end = 1.0", f"t_end = {0.5 * (MAX_STEPS + 1)!r}"
+            )
+        )
+        out = tmp_path / "capped.csv"
+        result = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ")
+        assert f"{MAX_STEPS} step cap" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["capped.cfg"]
 
     def test_out_is_directory_exits_2(self, translation_config, tmp_path):
         target = tmp_path / "outdir"

@@ -4,6 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
+import cellstage
+from cellstage import _backend
 from cellstage.dynamics import (
     MAX_STEPS,
     MassParams,
@@ -217,6 +219,13 @@ class TestHomogeneousResidualSweep:
             worst = max(worst, residual.inf_norm())
         assert swept == worst
 
+    def test_single_point_evaluates_only_t0(self):
+        # Effective masses 1.0 and 0.5: with unit velocities the residual
+        # cancels exactly at t = 0, and t1 never enters a 1-point grid.
+        m = MassParams(0.5, 0.25, 0.25)
+        init = StageState(0.0, 0.0, 0.0, 1.0, 1.0)
+        assert homogeneous_residual_maxnorm(m, init, 0.0, 10.0, 1) == 0.0
+
     def test_rejects_bad_grid(self):
         init = StageState(0.0, 0.0, 0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
@@ -346,6 +355,12 @@ class TestSimulate:
         assert traj[0].t == 2.0
         assert len(traj) == 3
 
+    def test_zero_steps_returns_initial_sample(self):
+        init = StageState(1.5, 1.0, 2.0, 3.0, 4.0)
+        traj = simulate(CANONICAL_MASSES, init, ZERO_WRENCH, 0.1, init.t)
+        assert len(traj) == 1
+        assert traj[0] == init
+
     def test_rejects_bad_step_and_horizon(self):
         init = StageState(0.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(DomainError):
@@ -361,6 +376,24 @@ class TestSimulate:
         init = StageState(0.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(OverflowError):
             simulate(CANONICAL_MASSES, init, Wrench(taux=1e99), 1.0, 100.0)
+
+
+class TestBenchmarkImportContract:
+    def test_simulate_calls_the_backend_kernel(self, monkeypatch):
+        # The cellbench tracer wraps _backend.rk4_stage_path and records
+        # kernel_backend(); both must stay where it looks them up.
+        assert cellstage.kernel_backend() == "python"
+        calls = []
+        kernel = _backend.rk4_stage_path
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(_backend, "rk4_stage_path", counting)
+        init = StageState(0.0, 0.0, 0.0, 1.0, 1.0)
+        simulate(CANONICAL_MASSES, init, ZERO_WRENCH, 0.1, 1.0)
+        assert len(calls) == 1
 
 
 class TestTrajectory:
