@@ -222,20 +222,23 @@ def test_c7_finite_difference_consistency():
 
 
 def test_c8_determinism():
-    """verify --seed 42 twice gives byte-identical reports; simulate on the
-    reference config reproduces the committed fixture byte-for-byte."""
+    """verify --seed 42 twice gives byte-identical reports, equal to the
+    committed seed-42 fixture; simulate on the reference config reproduces
+    the committed fixture byte-for-byte."""
     first = run_cli("verify", "--seed", "42")
     second = run_cli("verify", "--seed", "42")
+    golden = (DATA_DIR / "verify_seed42_samples1000.txt").read_text()
     verify_ok = (
         first.returncode == 0
         and second.returncode == 0
         and first.stdout == second.stdout
+        and first.stdout == golden
         and len(first.stdout.splitlines()) == len(propcheck.PROPERTIES)
     )
     _report(
         "C8a verify-determinism",
         verify_ok,
-        f"two runs, {len(first.stdout.splitlines())} report lines, byte-identical={first.stdout == second.stdout}",
+        f"two runs, {len(first.stdout.splitlines())} report lines, byte-identical={first.stdout == second.stdout}, matches fixture={first.stdout == golden}",
     )
 
 

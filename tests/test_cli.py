@@ -272,6 +272,11 @@ class TestVerify:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_report_matches_golden_fixture(self):
+        result = run_cli("verify", "--seed", "7", "--samples", "40")
+        assert result.returncode == 0
+        assert result.stdout == (DATA_DIR / "verify_seed7_samples40.txt").read_text()
+
     def test_zero_samples_is_usage_error(self):
         result = run_cli("verify", "--samples", "0")
         assert result.returncode == 2
