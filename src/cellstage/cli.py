@@ -5,9 +5,11 @@
     cellstage verify [--samples N] [--seed N]
 
 Exit codes: 0 ok, 1 property failure, 2 usage/config error (file errors
-included), 3 numerical failure. All numbers are printed with 17 significant
-digits and a '.' decimal separator regardless of locale; identical inputs
-give byte-identical output. `simulate` replaces --out only with a complete
+included), 3 numerical failure, 141 stdout closed by its reader before the
+output was written (128 + SIGPIPE, as a shell reports it; nothing is
+printed). All numbers are printed with 17 significant digits and a '.'
+decimal separator regardless of locale; identical inputs give
+byte-identical output. `simulate` replaces --out only with a complete
 CSV. There is no environment-variable configuration.
 """
 
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
+EXIT_BROKEN_PIPE = 141
 
 CSV_HEADER = "t,x,y,xdot,ydot,xc,yc,u,v"
 
@@ -139,22 +142,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "simulate":
+        return cmd_simulate(_load_config(args.config), args.out)
+    if args.command == "transform":
+        return cmd_transform(_load_config(args.config), args.x, args.y)
+    if args.command == "verify":
+        if args.samples < 1:
+            print("error: --samples must be >= 1", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
+        return cmd_verify(args.samples, args.seed)
+    raise AssertionError(f"unhandled command {args.command!r}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(_load_config(args.config), args.out)
-        if args.command == "transform":
-            return cmd_transform(_load_config(args.config), args.x, args.y)
-        if args.command == "verify":
-            if args.samples < 1:
-                print("error: --samples must be >= 1", file=sys.stderr)
-                return EXIT_CONFIG_ERROR
-            return cmd_verify(args.samples, args.seed)
+        code = _dispatch(args)
+        # Flush here so a reader that closed early surfaces below, not at
+        # interpreter shutdown.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone; send the rest to devnull so the flush at
+        # interpreter shutdown cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (OSError, ParseError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except OverflowError as exc:
         print(f"error: simulation diverged: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
-    raise AssertionError(f"unhandled command {args.command!r}")

@@ -202,86 +202,121 @@ def dynamics_residual(m: MassParams, accel: Vec2, vel: Vec2, w: Wrench) -> Vec2:
     return inertial + damping - w.net_input()
 
 
-def _require_solution_inputs(init: StageState, t: float) -> None:
+def _require_solution_times(init: StageState, times) -> None:
+    """The closed forms start at t = 0 and take finite times t >= 0."""
     if init.t != 0.0:
         raise DomainError(f"initial state must be at t=0, got t={init.t!r}")
-    _require_finite("t", t)
-    if t < 0.0:
+    if not all(map(math.isfinite, times)):
+        _require_finite("t", next(t for t in times if not math.isfinite(t)))
+    if min(times, default=0.0) < 0.0:
+        t = next(t for t in times if t < 0.0)
         raise DomainError(f"t must be >= 0, got {t!r}")
 
 
-def analytic_homogeneous_solution(m: MassParams, init: StageState, t: float) -> StageState:
+def _require_finite_outputs(names, columns) -> None:
+    for name, column in zip(names, columns):
+        if not all(map(math.isfinite, column)):
+            _require_finite(name, next(v for v in column if not math.isfinite(v)))
+
+
+# The closed forms are built one axis per call, so each axis' exp column is
+# freed before the next one is built.
+def _homogeneous_axis(m_eff: float, pos0: float, vel0: float, times):
+    exp = math.exp
+    e = [exp(-t / m_eff) for t in times]
+    reach = vel0 * m_eff
+    decay = -(vel0 / m_eff)
+    return (
+        [pos0 + reach * (1.0 - ei) for ei in e],
+        [vel0 * ei for ei in e],
+        [decay * ei for ei in e],
+    )
+
+
+def homogeneous_columns(m: MassParams, init: StageState, times):
     """Closed-form zero-input solution (pipette not touching the cells).
 
-    Per axis with effective mass M:
+    Per axis with effective mass M, writing e = exp(-t/M):
 
-        pos(t) = pos0 + vel0 * M * (1 - exp(-t/M))
-        vel(t) = vel0 * exp(-t/M)
+        pos(t) = pos0 + vel0 * M * (1 - e)
+        vel(t) = vel0 * e
+        acc(t) = -(vel0/M) * e
 
-    Velocities are the exact derivatives of the position formulas.
+    Velocities and accelerations are the exact derivatives of the position
+    formulas. Evaluated over the time column `times`; returns the lists
+    (x, y, xdot, ydot, xddot, yddot). Raises DomainError unless init.t is 0,
+    every t is finite and >= 0, and every value returned is finite.
     """
-    _require_solution_inputs(init, t)
-    mx_eff = m.x_effective
-    my_eff = m.y_effective
-    ex = math.exp(-t / mx_eff)
-    ey = math.exp(-t / my_eff)
-    return StageState(
-        t=t,
-        x=init.x + init.xdot * mx_eff * (1.0 - ex),
-        y=init.y + init.ydot * my_eff * (1.0 - ey),
-        xdot=init.xdot * ex,
-        ydot=init.ydot * ey,
+    _require_solution_times(init, times)
+    x, xdot, xddot = _homogeneous_axis(m.x_effective, init.x, init.xdot, times)
+    y, ydot, yddot = _homogeneous_axis(m.y_effective, init.y, init.ydot, times)
+    columns = (x, y, xdot, ydot, xddot, yddot)
+    _require_finite_outputs(("x", "y", "xdot", "ydot", "xddot", "yddot"), columns)
+    return columns
+
+
+def _constant_input_axis(m_eff: float, pos0: float, vel0: float, c: float, times):
+    exp = math.exp
+    g = c - vel0
+    e = [exp(-t / m_eff) for t in times]
+    mg = m_eff * g
+    return (
+        [pos0 + (c * t + mg * (ei - 1.0)) for t, ei in zip(times, e)],
+        [c - g * ei for ei in e],
     )
 
 
-def analytic_homogeneous_acceleration(m: MassParams, init: StageState, t: float) -> Vec2:
-    """Exact second derivative of the zero-input closed form: -vel0/M * exp(-t/M)."""
-    _require_solution_inputs(init, t)
-    mx_eff = m.x_effective
-    my_eff = m.y_effective
-    return Vec2(
-        -(init.xdot / mx_eff) * math.exp(-t / mx_eff),
-        -(init.ydot / my_eff) * math.exp(-t / my_eff),
-    )
-
-
-def analytic_constant_input_solution(
-    m: MassParams, init: StageState, w: Wrench, t: float
-) -> StageState:
+def constant_input_columns(m: MassParams, init: StageState, w: Wrench, times):
     """Closed-form solution under a constant wrench, by variation of parameters.
 
     Per axis with effective mass M and constant input c = tau - fe_d,
     writing g = c - vel0:
 
-        pos(t) = pos0 + c*t + M*g*(exp(-t/M) - 1)
+        pos(t) = pos0 + (c*t + M*g*(exp(-t/M) - 1))
         vel(t) = c - g*exp(-t/M)
 
     Reduces to the zero-input closed form when w == 0 (bit-for-bit: the
     grouping above makes the w = 0 arithmetic collapse to the same
-    operations).
+    operations). Evaluated over the time column `times`; returns the lists
+    (x, y, xdot, ydot) and validates as homogeneous_columns does.
     """
-    _require_solution_inputs(init, t)
-    net = w.net_input()
-    mx_eff = m.x_effective
-    my_eff = m.y_effective
-    gx = net.e1 - init.xdot
-    gy = net.e2 - init.ydot
-    ex = math.exp(-t / mx_eff)
-    ey = math.exp(-t / my_eff)
-    return StageState(
-        t=t,
-        x=init.x + (net.e1 * t + mx_eff * gx * (ex - 1.0)),
-        y=init.y + (net.e2 * t + my_eff * gy * (ey - 1.0)),
-        xdot=net.e1 - gx * ex,
-        ydot=net.e2 - gy * ey,
+    _require_solution_times(init, times)
+    x, xdot = _constant_input_axis(
+        m.x_effective, init.x, init.xdot, w.taux - w.fexd, times
     )
+    y, ydot = _constant_input_axis(
+        m.y_effective, init.y, init.ydot, w.tauy - w.feyd, times
+    )
+    columns = (x, y, xdot, ydot)
+    _require_finite_outputs(("x", "y", "xdot", "ydot"), columns)
+    return columns
+
+
+def analytic_homogeneous_solution(m: MassParams, init: StageState, t: float) -> StageState:
+    """homogeneous_columns at the single time t, as a StageState."""
+    x, y, xdot, ydot, _, _ = homogeneous_columns(m, init, [t])
+    return StageState(t, x[0], y[0], xdot[0], ydot[0])
+
+
+def analytic_homogeneous_acceleration(m: MassParams, init: StageState, t: float) -> Vec2:
+    """Exact second derivative of the zero-input closed form at t."""
+    columns = homogeneous_columns(m, init, [t])
+    return Vec2(columns[4][0], columns[5][0])
+
+
+def analytic_constant_input_solution(
+    m: MassParams, init: StageState, w: Wrench, t: float
+) -> StageState:
+    """constant_input_columns at the single time t, as a StageState."""
+    x, y, xdot, ydot = constant_input_columns(m, init, w, [t])
+    return StageState(t, x[0], y[0], xdot[0], ydot[0])
 
 
 def analytic_constant_input_acceleration(
     m: MassParams, init: StageState, w: Wrench, t: float
 ) -> Vec2:
     """Exact second derivative of the constant-input closed form."""
-    _require_solution_inputs(init, t)
+    _require_solution_times(init, (t,))
     net = w.net_input()
     mx_eff = m.x_effective
     my_eff = m.y_effective
@@ -334,38 +369,27 @@ def homogeneous_residual_maxnorm(
 ) -> float:
     """Worst equation-of-motion residual of the zero-input closed form.
 
-    Max-norm of M . accel(t) + C . vel(t) with the exact analytic velocity
-    and acceleration, swept over a uniform `points`-point grid on [t0, t1];
-    points == 1 evaluates only t0. A plain float loop, pinned bit-equal to
-    evaluating dynamics_residual pointwise by
-    TestHomogeneousResidualSweep::test_matches_scalar_route_exactly; used
-    for the large verification sweeps.
+    Max-norm of M . accel(t) + C . vel(t) over the velocity and acceleration
+    columns of homogeneous_columns, on the uniform `points`-point grid
+    t0 + i*h over [t0, t1]; points == 1 evaluates only t0. Pinned bit-equal
+    to evaluating dynamics_residual pointwise by
+    TestHomogeneousResidualSweep::test_matches_scalar_route_exactly.
     """
-    _require_solution_inputs(init, t0)
+    _require_solution_times(init, (t0,))
     _require_finite("t1", t1)
     if t1 < t0:
         raise DomainError(f"t1={t1!r} precedes t0={t0!r}")
     if points < 1:
         raise DomainError(f"points must be >= 1, got {points!r}")
+    h = (t1 - t0) / (points - 1) if points > 1 else 0.0
+    times = [t0 + i * h for i in range(points)]
+    _, _, xdot, ydot, xddot, yddot = homogeneous_columns(m, init, times)
     mx_eff = m.x_effective
     my_eff = m.y_effective
-    vx0 = init.xdot
-    vy0 = init.ydot
-    h = (t1 - t0) / (points - 1) if points > 1 else 0.0
-    worst = 0.0
-    for i in range(points):
-        t = t0 + i * h
-        ex = math.exp(-t / mx_eff)
-        ey = math.exp(-t / my_eff)
-        ax = -(vx0 / mx_eff) * ex
-        ay = -(vy0 / my_eff) * ey
-        rx = abs(mx_eff * ax + vx0 * ex)
-        ry = abs(my_eff * ay + vy0 * ey)
-        if rx > worst:
-            worst = rx
-        if ry > worst:
-            worst = ry
-    return worst
+    return max(
+        max([abs(mx_eff * a + v) for a, v in zip(xddot, xdot)]),
+        max([abs(my_eff * a + v) for a, v in zip(yddot, ydot)]),
+    )
 
 
 def inertia_matrix(

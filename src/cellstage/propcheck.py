@@ -34,6 +34,7 @@ but is explicitly unstable and not part of the report contract.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -250,22 +251,16 @@ def _check_image_stage(rng: SplitMix64, dom: SampleDomain):
 def _check_homogeneous_solution(rng: SplitMix64, dom: SampleDomain):
     """Equation-of-motion residual of the zero-input closed form.
 
-    Sweeps a uniform grid over t in [0, 10], feeding the exact analytic
-    velocity and acceleration into dynamics_residual with a zero wrench.
-    Absolute max-norm violation.
+    Sweeps a uniform grid over t in [0, 10] with
+    dynamics.homogeneous_residual_maxnorm: max |M*accel + vel| over the
+    exact analytic velocity and acceleration columns, the zero-wrench
+    dynamics_residual. Absolute max-norm violation.
     """
     m = sample_masses(rng, dom)
     init = sample_initial_state(rng, dom)
-    worst = 0.0
-    step = _THM4_T_MAX / (_THM4_GRID_POINTS - 1)
-    for i in range(_THM4_GRID_POINTS):
-        t = i * step
-        state = dynamics.analytic_homogeneous_solution(m, init, t)
-        accel = dynamics.analytic_homogeneous_acceleration(m, init, t)
-        residual = dynamics.dynamics_residual(
-            m, accel, Vec2(state.xdot, state.ydot), dynamics.ZERO_WRENCH
-        )
-        worst = max(worst, residual.inf_norm())
+    worst = dynamics.homogeneous_residual_maxnorm(
+        m, init, 0.0, _THM4_T_MAX, _THM4_GRID_POINTS
+    )
     return worst, {**_mass_inputs(m), **_state_inputs(init)}
 
 
@@ -443,9 +438,10 @@ def _check_derivative_fd(rng: SplitMix64, dom: SampleDomain):
 def _check_constant_input_reduction(rng: SplitMix64, dom: SampleDomain):
     """Constant-input closed form at w = 0 vs the zero-input closed form.
 
-    The two formulas associate differently, so agreement is to round-off,
-    not bitwise; normalized by the solution scale (|pos0| + m_eff*|vel0|
-    for positions, |vel0| for velocities).
+    At w = 0 the constant-input grouping collapses to the zero-input
+    operations, so the two agree bit for bit and the violation is 0; the
+    tolerance only allows for round-off. Normalized by the solution scale
+    (|pos0| + m_eff*|vel0| for positions, |vel0| for velocities).
     """
     m = sample_masses(rng, dom)
     init = sample_initial_state(rng, dom)
@@ -476,18 +472,12 @@ def _max_error_vs_analytic(
     n_steps: int,
 ) -> float:
     traj = dynamics.simulate(m, init, w, dt, (n_steps + 0.5) * dt)
-    worst = 0.0
-    columns = zip(traj.times(), traj.x, traj.y, traj.xdot, traj.ydot)
-    for t, x, y, xdot, ydot in columns:
-        exact = dynamics.analytic_constant_input_solution(m, init, w, t)
-        worst = max(
-            worst,
-            abs(x - exact.x),
-            abs(y - exact.y),
-            abs(xdot - exact.xdot),
-            abs(ydot - exact.ydot),
-        )
-    return worst
+    exact = dynamics.constant_input_columns(m, init, w, traj.times())
+    got = (traj.x, traj.y, traj.xdot, traj.ydot)
+    return max(
+        max(map(abs, map(operator.sub, column, want)))
+        for column, want in zip(got, exact)
+    )
 
 
 def _check_integrator_vs_analytic(rng: SplitMix64, dom: SampleDomain):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -7,7 +10,7 @@ from cellstage.dynamics import MAX_STEPS
 from cellstage.frames import Calibration, StagePoint, stage_to_image
 from cellstage.linalg2 import Mat2
 
-from conftest import DATA_DIR, REFERENCE_CONFIG, run_cli
+from conftest import DATA_DIR, REFERENCE_CONFIG, SRC_DIR, run_cli
 
 TRANSLATION_ONLY = """\
 [masses]
@@ -276,6 +279,31 @@ class TestVerify:
         result = run_cli("verify", "--seed", "7", "--samples", "40")
         assert result.returncode == 0
         assert result.stdout == (DATA_DIR / "verify_seed7_samples40.txt").read_text()
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_closed_stdout_pipe_exits_141_silently(self, unbuffered):
+        # Unbuffered, each report line is its own write, so the lines after
+        # the first are written once the reader has read one and closed the
+        # pipe. Buffered, the reader closes before anything is written and
+        # the report reaches the pipe only when main flushes it.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        env.pop("PYTHONUNBUFFERED", None)
+        flags = ["-u"] if unbuffered else []
+        proc = subprocess.Popen(
+            [sys.executable, *flags, "-m", "cellstage", "verify", "--samples", "40"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline() if unbuffered else None
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        if unbuffered:
+            assert first.startswith(b"THM1_CAMERA_STAGE pass 40 ")
+        assert stderr == b""
 
     def test_zero_samples_is_usage_error(self):
         result = run_cli("verify", "--samples", "0")

@@ -17,7 +17,9 @@ from cellstage.dynamics import (
     analytic_constant_input_solution,
     analytic_homogeneous_acceleration,
     analytic_homogeneous_solution,
+    constant_input_columns,
     dynamics_residual,
+    homogeneous_columns,
     homogeneous_residual_maxnorm,
     image_dynamics_residual,
     inertia_matrix,
@@ -200,6 +202,109 @@ class TestAnalyticHomogeneousSolution:
                     m, accel, Vec2(state.xdot, state.ydot), ZERO_WRENCH
                 )
                 assert residual.inf_norm() <= 1e-9
+
+
+def random_closed_form_case(rng):
+    m = MassParams(*(rng.log_uniform(1e-3, 10.0) for _ in range(3)))
+    init = StageState(0.0, *(rng.uniform(-100, 100) for _ in range(4)))
+    w = Wrench(*(rng.uniform(-10, 10) for _ in range(4)))
+    times = [0.0] + [rng.uniform(0.0, 10.0) for _ in range(20)]
+    return m, init, w, times
+
+
+class TestClosedFormColumns:
+    def test_homogeneous_matches_scalar_expressions_bitwise(self):
+        rng = SplitMix64(2024)
+        for _ in range(50):
+            m, init, _, times = random_closed_form_case(rng)
+            columns = homogeneous_columns(m, init, times)
+            mx, my = m.x_effective, m.y_effective
+            want = [[] for _ in range(6)]
+            for t in times:
+                ex = math.exp(-t / mx)
+                ey = math.exp(-t / my)
+                want[0].append(init.x + init.xdot * mx * (1.0 - ex))
+                want[1].append(init.y + init.ydot * my * (1.0 - ey))
+                want[2].append(init.xdot * ex)
+                want[3].append(init.ydot * ey)
+                want[4].append(-(init.xdot / mx) * math.exp(-t / mx))
+                want[5].append(-(init.ydot / my) * math.exp(-t / my))
+            assert list(map(list, columns)) == want
+
+    def test_constant_input_matches_scalar_expressions_bitwise(self):
+        rng = SplitMix64(2025)
+        for _ in range(50):
+            m, init, w, times = random_closed_form_case(rng)
+            columns = constant_input_columns(m, init, w, times)
+            mx, my = m.x_effective, m.y_effective
+            cx = w.taux - w.fexd
+            cy = w.tauy - w.feyd
+            gx = cx - init.xdot
+            gy = cy - init.ydot
+            want = [[] for _ in range(4)]
+            for t in times:
+                ex = math.exp(-t / mx)
+                ey = math.exp(-t / my)
+                want[0].append(init.x + (cx * t + mx * gx * (ex - 1.0)))
+                want[1].append(init.y + (cy * t + my * gy * (ey - 1.0)))
+                want[2].append(cx - gx * ex)
+                want[3].append(cy - gy * ey)
+            assert list(map(list, columns)) == want
+
+    def test_scalar_wrappers_are_one_row_columns(self):
+        rng = SplitMix64(2026)
+        m, init, w, times = random_closed_form_case(rng)
+        homog = homogeneous_columns(m, init, times)
+        const = constant_input_columns(m, init, w, times)
+        for i, t in enumerate(times):
+            state = analytic_homogeneous_solution(m, init, t)
+            assert (state.x, state.y, state.xdot, state.ydot) == tuple(
+                column[i] for column in homog[:4]
+            )
+            accel = analytic_homogeneous_acceleration(m, init, t)
+            assert (accel.e1, accel.e2) == (homog[4][i], homog[5][i])
+            state = analytic_constant_input_solution(m, init, w, t)
+            assert (state.x, state.y, state.xdot, state.ydot) == tuple(
+                column[i] for column in const
+            )
+
+    @pytest.mark.parametrize(
+        "core", [homogeneous_columns, constant_input_columns], ids=["homog", "const"]
+    )
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(-0.5, r"t must be >= 0, got -0\.5"), (math.nan, r"t must be finite, got nan")],
+    )
+    def test_rejects_bad_time_anywhere_in_column(self, core, bad, message):
+        init = StageState(0.0, 0.0, 0.0, 1.0, 1.0)
+        args = (ZERO_WRENCH,) if core is constant_input_columns else ()
+        with pytest.raises(DomainError, match=message):
+            core(CANONICAL_MASSES, init, *args, [0.0, 1.0, bad, 2.0])
+
+    @pytest.mark.parametrize(
+        "core", [homogeneous_columns, constant_input_columns], ids=["homog", "const"]
+    )
+    def test_rejects_initial_state_off_zero(self, core):
+        shifted = StageState(1.0, 0.0, 0.0, 1.0, 1.0)
+        args = (ZERO_WRENCH,) if core is constant_input_columns else ()
+        with pytest.raises(DomainError, match=r"initial state must be at t=0"):
+            core(CANONICAL_MASSES, shifted, *args, [2.0])
+
+    def test_overflowing_horizon_raises_domain_error(self):
+        # c*t overflows to inf at t = 1e308 with c = 10.
+        init = StageState(0.0, 0.0, 0.0, 0.0, 0.0)
+        w = Wrench(taux=10.0)
+        with pytest.raises(DomainError, match=r"x must be finite, got inf"):
+            constant_input_columns(CANONICAL_MASSES, init, w, [0.0, 1e308])
+        with pytest.raises(DomainError, match=r"x must be finite, got inf"):
+            analytic_constant_input_solution(CANONICAL_MASSES, init, w, 1e308)
+
+    def test_empty_column_gives_empty_columns(self):
+        init = StageState(0.0, 0.0, 0.0, 1.0, 1.0)
+        assert homogeneous_columns(CANONICAL_MASSES, init, []) == ([],) * 6
+        assert constant_input_columns(CANONICAL_MASSES, init, ZERO_WRENCH, []) == (
+            [],
+        ) * 4
 
 
 class TestHomogeneousResidualSweep:

@@ -90,15 +90,13 @@ class TestMutationSensitivity:
         assert {"alpha", "dx", "dy", "fx", "fy", "x", "y"} <= set(keys)
 
     def test_corrupted_solution_formula_fails_thm4(self, monkeypatch):
-        true_solution = dynamics.analytic_homogeneous_solution
+        true_columns = dynamics.homogeneous_columns
 
-        def corrupted(m, init, t):
-            state = true_solution(m, init, t)
-            return dynamics.StageState(
-                state.t, state.x, state.y, state.xdot * 1.001, state.ydot
-            )
+        def corrupted(m, init, times):
+            x, y, xdot, ydot, xddot, yddot = true_columns(m, init, times)
+            return x, y, [v * 1.001 for v in xdot], ydot, xddot, yddot
 
-        monkeypatch.setattr(dynamics, "analytic_homogeneous_solution", corrupted)
+        monkeypatch.setattr(dynamics, "homogeneous_columns", corrupted)
         report = check_theorem("THM4_HOMOG_SOLUTION", samples=FAST, seed=7)
         assert report.status == "fail"
         assert report.max_violation > report.tolerance
