@@ -29,7 +29,6 @@ from . import _backend
 from .errors import DomainError
 from .frames import Calibration, transformation_matrix
 from .linalg2 import (
-    DEFAULT_SINGULAR_EPS,
     Mat2,
     Vec2,
     inverse2,
@@ -392,27 +391,18 @@ def homogeneous_residual_maxnorm(
     )
 
 
-def inertia_matrix(
-    m: MassParams, c: Calibration, eps: float = DEFAULT_SINGULAR_EPS
-) -> Mat2:
+def inertia_matrix(m: MassParams, c: Calibration) -> Mat2:
     """Mass matrix recast against image-frame accelerations: M . T(c)^-1."""
-    return mat_mul(mass_matrix(m), inverse2(transformation_matrix(c), eps))
+    return mat_mul(mass_matrix(m), inverse2(transformation_matrix(c)))
 
 
-def posit_table_matrix_fin(
-    c: Calibration, eps: float = DEFAULT_SINGULAR_EPS
-) -> Mat2:
+def posit_table_matrix_fin(c: Calibration) -> Mat2:
     """Damping matrix recast against image-frame velocities: C . T(c)^-1 = T(c)^-1."""
-    return mat_mul(posit_table_matrix(), inverse2(transformation_matrix(c), eps))
+    return mat_mul(posit_table_matrix(), inverse2(transformation_matrix(c)))
 
 
 def image_dynamics_residual(
-    m: MassParams,
-    c: Calibration,
-    img_accel: Vec2,
-    img_vel: Vec2,
-    w: Wrench,
-    eps: float = DEFAULT_SINGULAR_EPS,
+    m: MassParams, c: Calibration, img_accel: Vec2, img_vel: Vec2, w: Wrench
 ) -> Vec2:
     """Equation-of-motion residual expressed in image coordinates.
 
@@ -420,6 +410,6 @@ def image_dynamics_residual(
     when the image-frame trajectory is the transform of a stage trajectory
     satisfying the stage dynamics.
     """
-    inertial = mat_vec_mul(inertia_matrix(m, c, eps), img_accel)
-    damping = mat_vec_mul(posit_table_matrix_fin(c, eps), img_vel)
+    inertial = mat_vec_mul(inertia_matrix(m, c), img_accel)
+    damping = mat_vec_mul(posit_table_matrix_fin(c), img_vel)
     return inertial + damping - w.net_input()

@@ -3,11 +3,10 @@
 The stage frame sits on the positioning table holding the cells, the camera
 frame on the microscope optics, the image frame on the pixel plane. A planar
 rotation `alpha` plus displacement (dx, dy) maps stage to camera; per-axis
-display-resolution scales (fx, fy) map camera to image. Each map takes one
-point; `stage_to_camera_columns` and `stage_to_image_columns` apply the
-same arithmetic, expression for expression, to whole coordinate columns, so
-a trajectory is transformed without one point object per sample and with
-bit-identical results.
+display-resolution scales (fx, fy) map camera to image. Both affine maps out
+of the stage frame are written once, over coordinate columns, in
+`_affine_columns`; the pointwise `stage_to_camera` and `stage_to_image` are
+one-row calls of the column maps, so each CSV row has the point map's bits.
 
 The three point types are deliberately distinct so a frame mix-up is a type
 error rather than a silent bug.
@@ -21,7 +20,6 @@ from typing import Sequence
 
 from .errors import DomainError
 from .linalg2 import (
-    DEFAULT_SINGULAR_EPS,
     Mat2,
     Vec2,
     inverse2,
@@ -139,11 +137,50 @@ def transformation_matrix(c: Calibration) -> Mat2:
     return Mat2(c.fx * ca, c.fx * sa, -c.fy * sa, c.fy * ca)
 
 
+def _affine_columns(names, a11, a12, a21, a22, b1, b2, xs, ys):
+    """The (a11*x + a12*y) + b1 and (a21*x + a22*y) + b2 lists over rows (x, y).
+
+    Raises DomainError, naming the column from the pair `names` and the
+    first bad row, if any mapped coordinate is not finite.
+    """
+    first = [(a11 * x + a12 * y) + b1 for x, y in zip(xs, ys)]
+    second = [(a21 * x + a22 * y) + b2 for x, y in zip(xs, ys)]
+    _require_finite_column(names[0], first)
+    _require_finite_column(names[1], second)
+    return first, second
+
+
+def stage_to_camera_columns(
+    xs: Sequence[float], ys: Sequence[float], c: Calibration
+) -> tuple[list[float], list[float]]:
+    """R(alpha) . (x, y) + (dx, dy) over columns: the (xc, yc) lists.
+
+    Raises DomainError if any mapped coordinate is not finite.
+    """
+    r = rotation_matrix(c.alpha)
+    d = displacement_vector(c.dx, c.dy)
+    return _affine_columns(
+        ("xc", "yc"), r.a11, r.a12, r.a21, r.a22, d.e1, d.e2, xs, ys
+    )
+
+
+def stage_to_image_columns(
+    xs: Sequence[float], ys: Sequence[float], c: Calibration
+) -> tuple[list[float], list[float]]:
+    """T(c) . (x, y) + (fx*dx, fy*dy) over columns: the (u, v) lists.
+
+    Raises DomainError if any mapped coordinate is not finite.
+    """
+    t = transformation_matrix(c)
+    return _affine_columns(
+        ("u", "v"), t.a11, t.a12, t.a21, t.a22, c.fx * c.dx, c.fy * c.dy, xs, ys
+    )
+
+
 def stage_to_camera(p: StagePoint, c: Calibration) -> CameraPoint:
-    """R(alpha) . p + (dx, dy)."""
-    rotated = mat_vec_mul(rotation_matrix(c.alpha), p.vec())
-    shifted = rotated + displacement_vector(c.dx, c.dy)
-    return CameraPoint(shifted.e1, shifted.e2)
+    """R(alpha) . p + (dx, dy): one row of stage_to_camera_columns."""
+    (xc,), (yc,) = stage_to_camera_columns((p.x,), (p.y,), c)
+    return CameraPoint(xc, yc)
 
 
 def camera_to_image(p: CameraPoint, c: Calibration) -> ImagePoint:
@@ -153,58 +190,20 @@ def camera_to_image(p: CameraPoint, c: Calibration) -> ImagePoint:
 
 
 def stage_to_image(p: StagePoint, c: Calibration) -> ImagePoint:
-    """T(c) . p + (fx*dx, fy*dy).
+    """T(c) . p + (fx*dx, fy*dy): one row of stage_to_image_columns.
 
     Agrees with camera_to_image(stage_to_camera(p, c), c) to round-off.
     """
-    linear = mat_vec_mul(transformation_matrix(c), p.vec())
-    mapped = linear + Vec2(c.fx * c.dx, c.fy * c.dy)
-    return ImagePoint(mapped.e1, mapped.e2)
+    (u,), (v,) = stage_to_image_columns((p.x,), (p.y,), c)
+    return ImagePoint(u, v)
 
 
-def stage_to_camera_columns(
-    xs: Sequence[float], ys: Sequence[float], c: Calibration
-) -> tuple[list[float], list[float]]:
-    """stage_to_camera over columns: (xc, yc) lists, bit-equal per row.
-
-    Raises DomainError if any mapped coordinate is not finite.
-    """
-    a11, a12, a21, a22 = rotation_matrix(c.alpha)
-    d = displacement_vector(c.dx, c.dy)
-    dx = d.e1
-    dy = d.e2
-    xc = [(a11 * x + a12 * y) + dx for x, y in zip(xs, ys)]
-    yc = [(a21 * x + a22 * y) + dy for x, y in zip(xs, ys)]
-    _require_finite_column("xc", xc)
-    _require_finite_column("yc", yc)
-    return xc, yc
-
-
-def stage_to_image_columns(
-    xs: Sequence[float], ys: Sequence[float], c: Calibration
-) -> tuple[list[float], list[float]]:
-    """stage_to_image over columns: (u, v) lists, bit-equal per row.
-
-    Raises DomainError if any mapped coordinate is not finite.
-    """
-    t11, t12, t21, t22 = transformation_matrix(c)
-    fdx = c.fx * c.dx
-    fdy = c.fy * c.dy
-    u = [(t11 * x + t12 * y) + fdx for x, y in zip(xs, ys)]
-    v = [(t21 * x + t22 * y) + fdy for x, y in zip(xs, ys)]
-    _require_finite_column("u", u)
-    _require_finite_column("v", v)
-    return u, v
-
-
-def image_to_stage(
-    p: ImagePoint, c: Calibration, eps: float = DEFAULT_SINGULAR_EPS
-) -> StagePoint:
+def image_to_stage(p: ImagePoint, c: Calibration) -> StagePoint:
     """Inverse of stage_to_image: T(c)^-1 . (p - (fx*dx, fy*dy)).
 
     For a valid Calibration det T = fx*fy > 0, so SingularError can only fire
     on degenerate inputs constructed around the validation.
     """
-    t_inv = inverse2(transformation_matrix(c), eps)
+    t_inv = inverse2(transformation_matrix(c))
     recovered = mat_vec_mul(t_inv, p.vec() - Vec2(c.fx * c.dx, c.fy * c.dy))
     return StagePoint(recovered.e1, recovered.e2)

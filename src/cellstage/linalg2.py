@@ -47,9 +47,6 @@ class Vec2:
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.e1 - other.e1, self.e2 - other.e2)
 
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.e1, -self.e2)
-
     def scaled(self, factor: float) -> "Vec2":
         return Vec2(factor * self.e1, factor * self.e2)
 

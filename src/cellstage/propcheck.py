@@ -26,9 +26,7 @@ that sample's inputs, and an evaluator exception as nan with
 Violations are normalized so "pass" is scale-free: algebraic identities
 divide the absolute deviation by the natural magnitude of the computation
 (documented per property below), residual checks follow their stated
-absolute or wrench-relative form. Tolerances are per-property constants;
-the `unstable_tolerance_overrides` field of SampleDomain can replace them
-but is explicitly unstable and not part of the report contract.
+absolute or wrench-relative form. Tolerances are per-property constants.
 """
 
 from __future__ import annotations
@@ -72,10 +70,6 @@ class SampleDomain:
     Displacements are uniform on the half-open (0, high]. Lower bounds
     respect the constructors' positivity constraints by construction, so no
     draw can violate a type invariant.
-
-    unstable_tolerance_overrides: (property_id, tolerance) pairs consulted
-    by check_theorem. UNSTABLE expert knob; overridden runs are not
-    comparable across versions.
     """
 
     alpha: tuple[float, float] = (-math.pi, math.pi)
@@ -85,7 +79,6 @@ class SampleDomain:
     position: tuple[float, float] = (-100.0, 100.0)
     velocity: tuple[float, float] = (-100.0, 100.0)
     wrench: tuple[float, float] = (-10.0, 10.0)
-    unstable_tolerance_overrides: tuple[tuple[str, float], ...] = ()
 
 
 DEFAULT_DOMAIN = SampleDomain()
@@ -546,14 +539,11 @@ PROPERTIES: dict[str, tuple[float, _Evaluator]] = {
 
 
 def check_theorem(
-    property_id: str,
-    domain: SampleDomain = DEFAULT_DOMAIN,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
+    property_id: str, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> PropertyReport:
-    """Run one registered property over `samples` pseudo-random draws.
+    """Run one registered property over `samples` draws from DEFAULT_DOMAIN.
 
-    Deterministic in (property_id, domain, samples, seed). A sample whose
+    Deterministic in (property_id, samples, seed). A sample whose
     violation is NaN, or whose evaluator raises, cannot be judged: the
     first such sample ends the run and fails the property with a NaN
     max_violation and that sample as the counterexample (its drawn inputs,
@@ -568,16 +558,13 @@ def check_theorem(
     if not 0 <= seed <= _MAX_SEED:
         raise DomainError(f"seed must be in [0, 2^64), got {seed!r}")
     tolerance, evaluator = PROPERTIES[property_id]
-    for pid, override in domain.unstable_tolerance_overrides:
-        if pid == property_id:
-            tolerance = override
     rng = property_stream(seed, property_id)
     max_violation = 0.0
     worst_inputs: dict | None = None
     worst_index = 0
     for index in range(samples):
         try:
-            violation, inputs = evaluator(rng, domain)
+            violation, inputs = evaluator(rng, DEFAULT_DOMAIN)
         except Exception as exc:
             violation, inputs = math.nan, {"error": type(exc).__name__}
         unjudged = math.isnan(violation)
@@ -600,12 +587,10 @@ def check_theorem(
 
 
 def run_all(
-    domain: SampleDomain = DEFAULT_DOMAIN,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
+    samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> list[PropertyReport]:
     """Check every registered property, in registry order."""
-    return [check_theorem(pid, domain, samples, seed) for pid in PROPERTIES]
+    return [check_theorem(pid, samples, seed) for pid in PROPERTIES]
 
 
 def finite_difference_check(

@@ -94,6 +94,14 @@ class TestTransform:
         assert result.returncode == 2
         assert "error" in result.stderr
 
+    def test_overflowing_point_names_the_camera_column(self):
+        result = run_cli(
+            "transform", "--config", str(REFERENCE_CONFIG), "--x", "1.7e308", "--y", "1.7e308"
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "xc[0] must be finite, got inf" in result.stderr
+
 
 class TestSimulate:
     def test_rest_state_rows_identical(self, translation_config, tmp_path):

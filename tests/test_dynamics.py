@@ -1,11 +1,13 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 import cellstage
-from cellstage import _backend
+from cellstage import _backend, _rng, dynamics, frames, linalg2
 from cellstage.dynamics import (
     MAX_STEPS,
     MassParams,
@@ -499,6 +501,23 @@ class TestBenchmarkImportContract:
         init = StageState(0.0, 0.0, 0.0, 1.0, 1.0)
         simulate(CANONICAL_MASSES, init, ZERO_WRENCH, 0.1, 1.0)
         assert len(calls) == 1
+
+    def test_every_traced_name_resolves(self):
+        # A name missing here makes `cellbench/run.py --trace 1` fail with
+        # AttributeError when the tracer installs its wrappers.
+        path = Path(__file__).resolve().parent.parent / "cellbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("cellbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        targets = [
+            (dynamics, tracer._CLOSED_FORMS + tracer._DYNAMICS_OTHER),
+            (frames, tracer._FRAMES),
+            (linalg2, tracer._LINALG2),
+            (_rng.SplitMix64, tracer._RNG_METHODS),
+        ]
+        for owner, names in targets:
+            missing = [name for name in names if not callable(vars(owner).get(name))]
+            assert missing == [], f"{owner.__name__} lacks {missing}"
 
 
 class TestTrajectory:

@@ -244,7 +244,7 @@ class TestImageToStage:
 
 
 class TestColumnTransforms:
-    def test_bit_equal_to_pointwise(self):
+    def test_bit_equal_to_literal_affine_forms(self):
         rng = SplitMix64(2024)
         for _ in range(20):
             c = Calibration(
@@ -256,13 +256,25 @@ class TestColumnTransforms:
             )
             xs = [rng.uniform(-1e3, 1e3) for _ in range(50)] + [0.0, -0.0]
             ys = [rng.uniform(-1e3, 1e3) for _ in range(50)] + [-0.0, 0.0]
+            ca = math.cos(c.alpha)
+            sa = math.sin(c.alpha)
+            fx, fy, dx, dy = c.fx, c.fy, c.dx, c.dy
+            want_xc = [(ca * x + sa * y) + dx for x, y in zip(xs, ys)]
+            want_yc = [(-sa * x + ca * y) + dy for x, y in zip(xs, ys)]
+            want_u = [(fx * ca * x + fx * sa * y) + fx * dx for x, y in zip(xs, ys)]
+            want_v = [(-fy * sa * x + fy * ca * y) + fy * dy for x, y in zip(xs, ys)]
             xc, yc = stage_to_camera_columns(xs, ys, c)
             u, v = stage_to_image_columns(xs, ys, c)
-            for i, (x, y) in enumerate(zip(xs, ys)):
-                cam = stage_to_camera(StagePoint(x, y), c)
-                img = stage_to_image(StagePoint(x, y), c)
-                assert (xc[i].hex(), yc[i].hex()) == (cam.xc.hex(), cam.yc.hex())
-                assert (u[i].hex(), v[i].hex()) == (img.u.hex(), img.v.hex())
+            assert [a.hex() for a in xc] == [a.hex() for a in want_xc]
+            assert [a.hex() for a in yc] == [a.hex() for a in want_yc]
+            assert [a.hex() for a in u] == [a.hex() for a in want_u]
+            assert [a.hex() for a in v] == [a.hex() for a in want_v]
+            # The point maps are one-row calls of the column maps.
+            for i in (0, len(xs) - 2, len(xs) - 1):
+                cam = stage_to_camera(StagePoint(xs[i], ys[i]), c)
+                img = stage_to_image(StagePoint(xs[i], ys[i]), c)
+                assert (cam.xc.hex(), cam.yc.hex()) == (xc[i].hex(), yc[i].hex())
+                assert (img.u.hex(), img.v.hex()) == (u[i].hex(), v[i].hex())
 
     def test_non_finite_image_column_raises(self):
         c = Calibration(alpha=0.0, dx=1.0, dy=1.0, fx=1e300, fy=1.0)

@@ -9,7 +9,6 @@ from cellstage.propcheck import (
     DEFAULT_DOMAIN,
     PROPERTIES,
     PropertyReport,
-    SampleDomain,
     check_theorem,
     finite_difference_check,
     format_report,
@@ -64,11 +63,10 @@ class TestCheckTheorem:
         b = check_theorem("THM5_IMAGE_DYNAMICS", samples=FAST, seed=4)
         assert a.max_violation != b.max_violation
 
-    def test_unstable_tolerance_override(self):
-        domain = SampleDomain(
-            unstable_tolerance_overrides=(("THM3_IMAGE_STAGE", 1e-30),)
-        )
-        report = check_theorem("THM3_IMAGE_STAGE", domain, samples=FAST, seed=42)
+    def test_tolerance_comes_from_registry(self, monkeypatch):
+        _, evaluator = PROPERTIES["THM3_IMAGE_STAGE"]
+        monkeypatch.setitem(propcheck.PROPERTIES, "THM3_IMAGE_STAGE", (1e-30, evaluator))
+        report = check_theorem("THM3_IMAGE_STAGE", samples=FAST, seed=42)
         assert report.tolerance == 1e-30
         assert report.status == "fail"
         assert report.counterexample is not None
