@@ -10,13 +10,16 @@ output was written (128 + SIGPIPE, as a shell reports it; nothing is
 printed). All numbers are printed with 17 significant digits and a '.'
 decimal separator regardless of locale; identical inputs give
 byte-identical output. `simulate` replaces --out only with a complete
-CSV. There is no environment-variable configuration.
+CSV; it renders the rows on one forked worker per usable CPU (one process
+for outputs under two 4,096-row chunks), and the bytes do not depend on
+how many. There is no environment-variable configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -59,37 +62,124 @@ def render_trajectory_csv(
 
     Renders rows start..stop-1 (all rows by default); the header line leads
     when start is 0. Raises DomainError if a camera or image coordinate is
-    not finite.
+    not finite, naming the first such row of the trajectory.
     """
     rows = slice(start, stop)
     x = traj.x[rows]
     y = traj.y[rows]
-    xc, yc = stage_to_camera_columns(x, y, config.calibration)
-    u, v = stage_to_image_columns(x, y, config.calibration)
+    calibration = config.calibration
+    try:
+        xc, yc = stage_to_camera_columns(x, y, calibration)
+        u, v = stage_to_image_columns(x, y, calibration)
+    except DomainError:
+        # Map row by row so the error names the first bad row whatever
+        # split of the rows into chunks or ranges led here.
+        for j in range(len(x)):
+            one = slice(j, j + 1)
+            stage_to_camera_columns(x[one], y[one], calibration, start + j)
+            stage_to_image_columns(x[one], y[one], calibration, start + j)
+        raise
     t = traj.times(start, stop)
     columns = (t, x, y, traj.xdot[rows], traj.ydot[rows], xc, yc, u, v)
     body = "".join(map(_CSV_ROW.__mod__, zip(*columns)))
     return CSV_HEADER + "\n" + body if start == 0 else body
 
 
-def _write_csv(traj: Trajectory, config: ScenarioConfig, out_path: str) -> None:
-    """Stream the CSV to a temporary file beside out_path, then rename it.
+def _csv_parts(rows: int) -> int:
+    """How many processes render a CSV of `rows` rows.
 
-    On any failure the temporary file is removed and out_path is untouched.
+    One per CPU this process may run on, but at most one per full chunk, so
+    outputs under two chunks fork nothing. 1 off Linux: elsewhere os.fork,
+    os.sched_getaffinity or a file-to-file os.sendfile may be missing.
+    """
+    if sys.platform != "linux":
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), rows // _CSV_CHUNK_ROWS))
+
+
+def _render_rows(handle, traj: Trajectory, config: ScenarioConfig, start, stop):
+    """Write rows start..stop-1 to handle, one chunk at a time."""
+    for first in range(start, stop, _CSV_CHUNK_ROWS):
+        last = min(first + _CSV_CHUNK_ROWS, stop)
+        handle.write(render_trajectory_csv(traj, config, first, last))
+
+
+def _fork_worker(traj: Trajectory, config: ScenarioConfig, tmp_path, start, stop):
+    """Fork a process that renders rows start..stop-1 into a part file.
+
+    The part file is created beside tmp_path and unlinked at once, so only
+    its descriptor names it. Returns [pid, part fd, start, stop]; pid is
+    None if no process could be forked. The child leaves only through
+    os._exit, with status 0 once its part is complete.
+    """
+    part_path = f"{tmp_path}.{start}.part"
+    part = os.open(part_path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+    os.unlink(part_path)
+    try:
+        pid = os.fork()
+    except OSError:
+        return [None, part, start, stop]
+    if pid == 0:
+        status = 1
+        try:
+            with open(part, "w", newline="\n") as handle:
+                _render_rows(handle, traj, config, start, stop)
+            status = 0
+        finally:
+            os._exit(status)
+    return [pid, part, start, stop]
+
+
+def _append_part(fd: int, part: int) -> None:
+    """Copy all of file `part` to file `fd` at its current offset."""
+    size = os.fstat(part).st_size
+    offset = 0
+    while offset < size:
+        offset += os.sendfile(fd, part, offset, size - offset)
+
+
+def _write_csv(traj: Trajectory, config: ScenarioConfig, out_path: str) -> None:
+    """Render the CSV into a temporary file beside out_path, then rename it.
+
+    The rows are split into _csv_parts(len(traj)) contiguous, equal ranges.
+    This process renders the first; a forked worker renders each other one
+    into its part file, which is appended in order once the worker exits.
+    The bytes do not depend on the number of ranges. A range whose worker
+    failed is rendered here, so an error is the one a single process
+    raises. On any failure the workers are killed and reaped, the
+    temporary file is removed and out_path is untouched.
     """
     directory, name = os.path.split(os.path.abspath(out_path))
     tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    parts = _csv_parts(len(traj))
+    bounds = [len(traj) * i // parts for i in range(parts + 1)]
+    workers = []
     try:
         with open(fd, "w", newline="\n") as handle:
-            for start in range(0, len(traj), _CSV_CHUNK_ROWS):
-                handle.write(
-                    render_trajectory_csv(traj, config, start, start + _CSV_CHUNK_ROWS)
-                )
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                workers.append(_fork_worker(traj, config, tmp_path, start, stop))
+            _render_rows(handle, traj, config, 0, bounds[1])
+            for worker in workers:
+                pid, part, start, stop = worker
+                status = 1 if pid is None else os.waitpid(pid, 0)[1]
+                worker[0] = None
+                if status == 0:
+                    handle.flush()
+                    _append_part(fd, part)
+                else:
+                    _render_rows(handle, traj, config, start, stop)
         os.replace(tmp_path, out_path)
     except BaseException:
+        for pid, *_ in workers:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         os.unlink(tmp_path)
         raise
+    finally:
+        for _, part, *_ in workers:
+            os.close(part)
 
 
 def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:

@@ -137,43 +137,47 @@ def transformation_matrix(c: Calibration) -> Mat2:
     return Mat2(c.fx * ca, c.fx * sa, -c.fy * sa, c.fy * ca)
 
 
-def _affine_columns(names, a11, a12, a21, a22, b1, b2, xs, ys):
+def _affine_columns(names, a11, a12, a21, a22, b1, b2, xs, ys, first_row=0):
     """The (a11*x + a12*y) + b1 and (a21*x + a22*y) + b2 lists over rows (x, y).
 
     Raises DomainError, naming the column from the pair `names` and the
-    first bad row, if any mapped coordinate is not finite.
+    first bad row (xs[i] being row first_row + i), if any mapped coordinate
+    is not finite.
     """
     first = [(a11 * x + a12 * y) + b1 for x, y in zip(xs, ys)]
     second = [(a21 * x + a22 * y) + b2 for x, y in zip(xs, ys)]
-    _require_finite_column(names[0], first)
-    _require_finite_column(names[1], second)
+    _require_finite_column(names[0], first, first_row)
+    _require_finite_column(names[1], second, first_row)
     return first, second
 
 
 def stage_to_camera_columns(
-    xs: Sequence[float], ys: Sequence[float], c: Calibration
+    xs: Sequence[float], ys: Sequence[float], c: Calibration, first_row: int = 0
 ) -> tuple[list[float], list[float]]:
     """R(alpha) . (x, y) + (dx, dy) over columns: the (xc, yc) lists.
 
-    Raises DomainError if any mapped coordinate is not finite.
+    Raises DomainError if any mapped coordinate is not finite; the message
+    names the bad row as first_row plus its index in xs.
     """
     r = rotation_matrix(c.alpha)
     d = displacement_vector(c.dx, c.dy)
     return _affine_columns(
-        ("xc", "yc"), r.a11, r.a12, r.a21, r.a22, d.e1, d.e2, xs, ys
+        ("xc", "yc"), r.a11, r.a12, r.a21, r.a22, d.e1, d.e2, xs, ys, first_row
     )
 
 
 def stage_to_image_columns(
-    xs: Sequence[float], ys: Sequence[float], c: Calibration
+    xs: Sequence[float], ys: Sequence[float], c: Calibration, first_row: int = 0
 ) -> tuple[list[float], list[float]]:
     """T(c) . (x, y) + (fx*dx, fy*dy) over columns: the (u, v) lists.
 
-    Raises DomainError if any mapped coordinate is not finite.
+    Raises DomainError if any mapped coordinate is not finite; the message
+    names the bad row as first_row plus its index in xs.
     """
     t = transformation_matrix(c)
     return _affine_columns(
-        ("u", "v"), t.a11, t.a12, t.a21, t.a22, c.fx * c.dx, c.fy * c.dy, xs, ys
+        ("u", "v"),
+        t.a11, t.a12, t.a21, t.a22, c.fx * c.dx, c.fy * c.dy, xs, ys, first_row,
     )
 
 

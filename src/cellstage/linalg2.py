@@ -23,11 +23,16 @@ def _require_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite, got {value!r}")
 
 
-def _require_finite_column(name: str, column) -> None:
-    """Whole-column finiteness check; names the first bad index."""
+def _require_finite_column(name: str, column, first_row: int = 0) -> None:
+    """Whole-column finiteness check; names the first bad row.
+
+    column[i] is row first_row + i.
+    """
     if not all(map(math.isfinite, column)):
         index = next(i for i, v in enumerate(column) if not math.isfinite(v))
-        raise DomainError(f"{name}[{index}] must be finite, got {column[index]!r}")
+        raise DomainError(
+            f"{name}[{first_row + index}] must be finite, got {column[index]!r}"
+        )
 
 
 @dataclass(frozen=True)

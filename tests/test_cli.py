@@ -6,9 +6,11 @@ import sys
 import pytest
 
 from cellstage import cli, frames, propcheck
-from cellstage.dynamics import MAX_STEPS
+from cellstage.dynamics import MAX_STEPS, Trajectory, simulate
+from cellstage.errors import DomainError
 from cellstage.frames import Calibration, StagePoint, stage_to_image
 from cellstage.linalg2 import Mat2
+from cellstage.scenario import parse_config
 
 from conftest import DATA_DIR, REFERENCE_CONFIG, SRC_DIR, run_cli
 
@@ -37,6 +39,15 @@ feyd = 0.0
 dt = 0.1
 t_end = 1.0
 """
+
+#: u = fx*x + fx*dx first overflows at row 27327 of 30,001, once x passes
+#: about 1.8e8; every later row overflows too.
+WIDE_IMAGE = (
+    TRANSLATION_ONLY.replace("fx = 1.0", "fx = 1e300")
+    .replace("taux = 0.0", "taux = 1e8")
+    .replace("dt = 0.1", "dt = 1e-4")
+    .replace("t_end = 1.0", "t_end = 3.0")
+)
 
 
 @pytest.fixture
@@ -199,12 +210,7 @@ class TestSimulate:
         # u = fx*x + fx*dx overflows once x passes ~1.8e8, about 28,000 rows
         # in: several chunks have been written by then.
         cfg = tmp_path / "wide.cfg"
-        cfg.write_text(
-            TRANSLATION_ONLY.replace("fx = 1.0", "fx = 1e300")
-            .replace("taux = 0.0", "taux = 1e8")
-            .replace("dt = 0.1", "dt = 1e-4")
-            .replace("t_end = 1.0", "t_end = 3.0")
-        )
+        cfg.write_text(WIDE_IMAGE)
         out = tmp_path / "wide.csv"
         out.write_text("previous contents\n")
         code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
@@ -214,7 +220,8 @@ class TestSimulate:
         out.unlink()
         result = run_cli("simulate", "--config", str(cfg), "--out", str(out))
         assert result.returncode == 2
-        assert "u[" in result.stderr and "must be finite" in result.stderr
+        # The bad row is named by its trajectory row, not its row in a chunk.
+        assert result.stderr.startswith("error: u[27327] must be finite, got inf")
         assert "Traceback" not in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cfg"]
 
@@ -262,6 +269,128 @@ class TestSimulate:
         result = run_cli("simulate", "--config", str(translation_config), "--out", str(out))
         assert result.returncode == 2
         assert result.stderr.startswith("error: ")
+
+
+class TestForkedWriter:
+    """`simulate` splits the rows among forked workers; nothing may show it."""
+
+    @pytest.fixture(autouse=True)
+    def every_worker_reaped(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def simulate(cfg, out, parts, monkeypatch):
+        monkeypatch.setattr(cli, "_csv_parts", lambda rows: parts)
+        return cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
+
+    @pytest.fixture
+    def fine_config(self, tmp_path):
+        """The reference scenario at dt = 1e-4: 20,001 rows, five chunks."""
+        path = tmp_path / "fine.cfg"
+        path.write_text(REFERENCE_CONFIG.read_text().replace("dt = 0.01", "dt = 0.0001"))
+        return path
+
+    @staticmethod
+    def single_render(cfg):
+        config = parse_config(cfg.read_bytes())
+        traj = simulate(
+            config.masses, config.initial, config.wrench, config.dt, config.t_end
+        )
+        return cli.render_trajectory_csv(traj, config).encode()
+
+    def test_parts_follow_cpus_and_whole_chunks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        chunk = cli._CSV_CHUNK_ROWS
+        assert [cli._csv_parts(n) for n in (1, 201, 2 * chunk - 1)] == [1, 1, 1]
+        assert [cli._csv_parts(n) for n in (2 * chunk, 20_001, 10**6)] == [2, 4, 8]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert cli._csv_parts(10**6) == 1
+        monkeypatch.setattr(sys, "platform", "darwin")
+        assert cli._csv_parts(10**6) == 1
+
+    def test_bytes_do_not_depend_on_parts(
+        self, fine_config, translation_config, monkeypatch, tmp_path
+    ):
+        # The 11-row translation ranges are shorter than the file buffer,
+        # so they are still buffered when a part is appended.
+        expected = {
+            "reference": (DATA_DIR / "reference_trajectory.csv").read_bytes(),
+            "fine": self.single_render(fine_config),
+            "translation": self.single_render(translation_config),
+        }
+        for parts in (1, 2, 3):
+            for cfg in (REFERENCE_CONFIG, fine_config, translation_config):
+                out = tmp_path / f"{cfg.stem}-{parts}.csv"
+                assert self.simulate(cfg, out, parts, monkeypatch) == 0
+                assert out.read_bytes() == expected[cfg.stem]
+        leftovers = [p.name for p in tmp_path.iterdir() if p.suffix not in (".cfg", ".csv")]
+        assert leftovers == []
+
+    @pytest.mark.parametrize(
+        "t_end, parts",
+        # 30,001 rows: row 27327 is in the one process's range, then in the
+        # last worker's of 2 and of 3. 60,001 rows in 2: it is in this
+        # process's range, and every row of the worker's range is bad too.
+        [("3.0", 1), ("3.0", 2), ("3.0", 3), ("6.0", 2)],
+    )
+    def test_non_finite_row_is_named_from_any_range(
+        self, t_end, parts, monkeypatch, tmp_path, capsys
+    ):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(WIDE_IMAGE.replace("t_end = 3.0", f"t_end = {t_end}"))
+        out = tmp_path / "wide.csv"
+        out.write_text("previous contents\n")
+        assert self.simulate(cfg, out, parts, monkeypatch) == 2
+        assert capsys.readouterr().err == "error: u[27327] must be finite, got inf\n"
+        assert out.read_text() == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cfg", "wide.csv"]
+
+    def test_error_names_the_first_bad_row_of_any_column(self):
+        # v overflows at row 5 and u at row 9 (fx = fy = 1e300): the error
+        # names row 5 however the rows are split, although u is checked first.
+        config = parse_config(WIDE_IMAGE.replace("fy = 1.0", "fy = 1e300").encode())
+        x = [0.0] * 20
+        y = [0.0] * 20
+        x[9] = 1e9
+        y[5] = 1e9
+        traj = Trajectory(0.0, 0.1, x, y, [0.0] * 20, [0.0] * 20)
+        for start, stop in ((0, 20), (0, 7), (3, 12), (5, 6)):
+            with pytest.raises(DomainError, match=r"^v\[5\] must be finite, got inf$"):
+                cli.render_trajectory_csv(traj, config, start, stop)
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_failed_worker_range_is_rendered_here(
+        self, failing, fine_config, monkeypatch, tmp_path
+    ):
+        # Worker 1 failing is re-rendered before worker 2's part is
+        # appended; worker 2 failing is re-rendered after worker 1's.
+        parent = os.getpid()
+        render_rows = cli._render_rows
+
+        def full_disk_in_one_worker(handle, traj, config, start, stop):
+            if os.getpid() != parent and start == len(traj) * failing // 3:
+                raise OSError(28, "No space left on device")
+            render_rows(handle, traj, config, start, stop)
+
+        monkeypatch.setattr(cli, "_render_rows", full_disk_in_one_worker)
+        out = tmp_path / "fine.csv"
+        assert self.simulate(fine_config, out, 3, monkeypatch) == 0
+        assert out.read_bytes() == self.single_render(fine_config)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "fine.csv"]
+
+    def test_fork_failure_renders_every_range_here(
+        self, fine_config, monkeypatch, tmp_path
+    ):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = tmp_path / "fine.csv"
+        assert self.simulate(fine_config, out, 3, monkeypatch) == 0
+        assert out.read_bytes() == self.single_render(fine_config)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "fine.csv"]
 
 
 class TestVerify:

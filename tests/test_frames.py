@@ -280,8 +280,12 @@ class TestColumnTransforms:
         c = Calibration(alpha=0.0, dx=1.0, dy=1.0, fx=1e300, fy=1.0)
         with pytest.raises(DomainError, match=r"u\[1\] must be finite"):
             stage_to_image_columns([0.0, 1e9], [0.0, 0.0], c)
+        with pytest.raises(DomainError, match=r"u\[4097\] must be finite"):
+            stage_to_image_columns([0.0, 1e9], [0.0, 0.0], c, first_row=4096)
 
     def test_non_finite_camera_column_raises(self):
         c = Calibration(alpha=math.pi / 4, dx=1.0, dy=1.0, fx=1.0, fy=1.0)
         with pytest.raises(DomainError, match=r"xc\[0\] must be finite"):
             stage_to_camera_columns([1.7e308], [1.7e308], c)
+        with pytest.raises(DomainError, match=r"xc\[27327\] must be finite"):
+            stage_to_camera_columns([1.7e308], [1.7e308], c, first_row=27327)

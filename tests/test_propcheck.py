@@ -1,8 +1,9 @@
+import inspect
 import math
 
 import pytest
 
-from cellstage import dynamics, frames, propcheck
+from cellstage import _backend, dynamics, frames, propcheck
 from cellstage.errors import DomainError, UnknownPropertyError
 from cellstage.linalg2 import Mat2
 from cellstage.propcheck import (
@@ -112,6 +113,20 @@ class TestMutationSensitivity:
         monkeypatch.setattr(frames, "inverse2", skewed)
         report = check_theorem("FRAMES_ROUND_TRIP", samples=FAST, seed=42)
         assert report.status == "fail"
+
+    def test_third_order_kernel_fails_integrator_order(self, monkeypatch):
+        # Feeding k2 where RK4 takes k3 into the last stage drops the z^4/24
+        # term of the step's growth factor on this linear ODE: halving dt
+        # then cuts the error about 8x, not 16x.
+        source = inspect.getsource(_backend.rk4_stage_path)
+        mutant = source.replace("s4vx = vx + dt * k3vx", "s4vx = vx + dt * k2vx")
+        assert mutant != source
+        namespace = dict(vars(_backend))
+        exec(mutant, namespace)
+        monkeypatch.setattr(_backend, "rk4_stage_path", namespace["rk4_stage_path"])
+        report = check_theorem("INTEGRATOR_ORDER", samples=40, seed=42)
+        assert report.status == "fail"
+        assert report.max_violation > report.tolerance
 
 
 class TestRunAll:
