@@ -301,7 +301,8 @@ class TestForkedWriter:
         return cli.render_trajectory_csv(traj, config).encode()
 
     def test_parts_follow_cpus_and_whole_chunks(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(sys, "platform", "linux")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         chunk = cli._CSV_CHUNK_ROWS
         assert [cli._csv_parts(n) for n in (1, 201, 2 * chunk - 1)] == [1, 1, 1]
         assert [cli._csv_parts(n) for n in (2 * chunk, 20_001, 10**6)] == [2, 4, 8]
