@@ -50,7 +50,6 @@ from .dynamics import (
 )
 from .propcheck import (
     PropertyReport,
-    SampleDomain,
     check_theorem,
     finite_difference_check,
     format_report,

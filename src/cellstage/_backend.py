@@ -21,7 +21,8 @@ def rk4_stage_path(mx_eff, my_eff, cx, cy, x0, y0, vx0, vy0, dt, n_steps):
     of size dt. Returns four lists (x, y, vx, vy) of length n_steps + 1,
     sample 0 being the initial state.
 
-    Raises OverflowError as soon as any component exceeds OVERFLOW_LIMIT.
+    Raises OverflowError as soon as any component exceeds OVERFLOW_LIMIT
+    or is NaN.
     """
     x = x0
     y = y0
@@ -50,11 +51,12 @@ def rk4_stage_path(mx_eff, my_eff, cx, cy, x0, y0, vx0, vy0, dt, n_steps):
         y = y + dt * (vy + 2.0 * s2vy + 2.0 * s3vy + s4vy) / 6.0
         vx = vx + dt * (k1vx + 2.0 * k2vx + 2.0 * k3vx + k4vx) / 6.0
         vy = vy + dt * (k1vy + 2.0 * k2vy + 2.0 * k3vy + k4vy) / 6.0
-        if (
-            abs(x) > OVERFLOW_LIMIT
-            or abs(y) > OVERFLOW_LIMIT
-            or abs(vx) > OVERFLOW_LIMIT
-            or abs(vy) > OVERFLOW_LIMIT
+        # Written as "not within" so that a NaN component trips it too.
+        if not (
+            abs(x) <= OVERFLOW_LIMIT
+            and abs(y) <= OVERFLOW_LIMIT
+            and abs(vx) <= OVERFLOW_LIMIT
+            and abs(vy) <= OVERFLOW_LIMIT
         ):
             raise OverflowError(
                 f"state exceeded {OVERFLOW_LIMIT:g} after {len(xs)} steps"

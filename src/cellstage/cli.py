@@ -238,9 +238,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "transform":
         return cmd_transform(_load_config(args.config), args.x, args.y)
     if args.command == "verify":
-        if args.samples < 1:
-            print("error: --samples must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
         return cmd_verify(args.samples, args.seed)
     raise AssertionError(f"unhandled command {args.command!r}")
 

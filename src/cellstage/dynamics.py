@@ -333,7 +333,7 @@ def simulate(
     Takes floor((t_end - init.t)/dt) steps of exactly dt, so the trajectory
     ends within dt of t_end. Timestamps are init.t + i*dt. Raises
     DomainError on a bad step or horizon and OverflowError if the state
-    diverges past 1e100.
+    diverges past 1e100 or turns NaN.
     """
     _require_finite("dt", dt)
     _require_finite("t_end", t_end)
@@ -342,7 +342,9 @@ def simulate(
     if t_end < init.t:
         raise DomainError(f"t_end={t_end!r} precedes initial time {init.t!r}")
     span = (t_end - init.t) / dt
-    if span > MAX_STEPS:
+    # floor(span) steps are taken, so this is floor(span) > MAX_STEPS
+    # without calling floor on an infinite span.
+    if span >= MAX_STEPS + 1:
         raise DomainError(
             f"horizon needs {span:.17g} steps, above the {MAX_STEPS} step cap"
         )

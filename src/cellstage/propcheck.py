@@ -1,6 +1,6 @@
 """Randomized numerical checks of every verified relation in the model.
 
-Each registered property draws pseudo-random inputs from a SampleDomain,
+Each registered property draws pseudo-random inputs from fixed ranges,
 evaluates a relation both through the library and through an independent
 route (a raw scalar formula, a closed-form oracle, or an exact identity),
 and reports the worst normalized violation seen. Checks are deterministic:
@@ -61,27 +61,19 @@ _INTEGRATOR_STEPS = 1000
 _ORDER_FLOOR = 1e-11
 
 
-@dataclass(frozen=True)
-class SampleDomain:
-    """Sampling ranges for every free quantity, as (low, high) pairs.
-
-    Angles and signed quantities are sampled uniformly; scale-like
-    quantities (fx, fy, masses) log-uniformly to exercise conditioning.
-    Displacements are uniform on the half-open (0, high]. Lower bounds
-    respect the constructors' positivity constraints by construction, so no
-    draw can violate a type invariant.
-    """
-
-    alpha: tuple[float, float] = (-math.pi, math.pi)
-    displacement: tuple[float, float] = (0.0, 10.0)
-    resolution: tuple[float, float] = (0.1, 100.0)
-    mass: tuple[float, float] = (1e-3, 10.0)
-    position: tuple[float, float] = (-100.0, 100.0)
-    velocity: tuple[float, float] = (-100.0, 100.0)
-    wrench: tuple[float, float] = (-10.0, 10.0)
-
-
-DEFAULT_DOMAIN = SampleDomain()
+# Sampling ranges for every free quantity, as (low, high) pairs, except that
+# displacements are uniform on the half-open (0, _DISPLACEMENT_MAX]. Angles
+# and signed quantities are drawn uniformly; scale-like quantities (fx, fy,
+# masses) log-uniformly to exercise conditioning. Lower bounds respect the
+# constructors' positivity constraints by construction, so no draw can
+# violate a type invariant.
+_ALPHA = (-math.pi, math.pi)
+_DISPLACEMENT_MAX = 10.0
+_RESOLUTION = (0.1, 100.0)
+_MASS = (1e-3, 10.0)
+_POSITION = (-100.0, 100.0)
+_VELOCITY = (-100.0, 100.0)
+_WRENCH = (-10.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -123,48 +115,48 @@ def format_report(report: PropertyReport) -> str:
 # ---------------------------------------------------------------------------
 # samplers
 
-def sample_calibration(rng: SplitMix64, dom: SampleDomain) -> frames.Calibration:
+def sample_calibration(rng: SplitMix64) -> frames.Calibration:
     """Draw order: alpha, dx, dy, fx, fy."""
     return frames.Calibration(
-        alpha=rng.uniform(*dom.alpha),
-        dx=rng.uniform_open_low(dom.displacement[1]),
-        dy=rng.uniform_open_low(dom.displacement[1]),
-        fx=rng.log_uniform(*dom.resolution),
-        fy=rng.log_uniform(*dom.resolution),
+        alpha=rng.uniform(*_ALPHA),
+        dx=rng.uniform_open_low(_DISPLACEMENT_MAX),
+        dy=rng.uniform_open_low(_DISPLACEMENT_MAX),
+        fx=rng.log_uniform(*_RESOLUTION),
+        fy=rng.log_uniform(*_RESOLUTION),
     )
 
 
-def sample_masses(rng: SplitMix64, dom: SampleDomain) -> dynamics.MassParams:
+def sample_masses(rng: SplitMix64) -> dynamics.MassParams:
     """Draw order: mx, my, mp (each log-uniform)."""
     return dynamics.MassParams(
-        mx=rng.log_uniform(*dom.mass),
-        my=rng.log_uniform(*dom.mass),
-        mp=rng.log_uniform(*dom.mass),
+        mx=rng.log_uniform(*_MASS),
+        my=rng.log_uniform(*_MASS),
+        mp=rng.log_uniform(*_MASS),
     )
 
 
-def sample_stage_point(rng: SplitMix64, dom: SampleDomain) -> frames.StagePoint:
-    return frames.StagePoint(rng.uniform(*dom.position), rng.uniform(*dom.position))
+def sample_stage_point(rng: SplitMix64) -> frames.StagePoint:
+    return frames.StagePoint(rng.uniform(*_POSITION), rng.uniform(*_POSITION))
 
 
-def sample_initial_state(rng: SplitMix64, dom: SampleDomain) -> dynamics.StageState:
+def sample_initial_state(rng: SplitMix64) -> dynamics.StageState:
     """Draw order: x0, y0, xd0, yd0; t pinned to 0."""
     return dynamics.StageState(
         t=0.0,
-        x=rng.uniform(*dom.position),
-        y=rng.uniform(*dom.position),
-        xdot=rng.uniform(*dom.velocity),
-        ydot=rng.uniform(*dom.velocity),
+        x=rng.uniform(*_POSITION),
+        y=rng.uniform(*_POSITION),
+        xdot=rng.uniform(*_VELOCITY),
+        ydot=rng.uniform(*_VELOCITY),
     )
 
 
-def sample_wrench(rng: SplitMix64, dom: SampleDomain) -> dynamics.Wrench:
+def sample_wrench(rng: SplitMix64) -> dynamics.Wrench:
     """Draw order: taux, tauy, fexd, feyd."""
     return dynamics.Wrench(
-        taux=rng.uniform(*dom.wrench),
-        tauy=rng.uniform(*dom.wrench),
-        fexd=rng.uniform(*dom.wrench),
-        feyd=rng.uniform(*dom.wrench),
+        taux=rng.uniform(*_WRENCH),
+        tauy=rng.uniform(*_WRENCH),
+        fexd=rng.uniform(*_WRENCH),
+        feyd=rng.uniform(*_WRENCH),
     )
 
 
@@ -187,13 +179,13 @@ def _wrench_inputs(w: dynamics.Wrench) -> dict:
 # ---------------------------------------------------------------------------
 # property evaluators; each returns (violation, inputs)
 
-def _check_camera_stage(rng: SplitMix64, dom: SampleDomain):
+def _check_camera_stage(rng: SplitMix64):
     """Library stage_to_camera vs the raw componentwise relation.
 
     Normalized by the formula's magnitude: |x| + |y| + max(dx, dy).
     """
-    c = sample_calibration(rng, dom)
-    p = sample_stage_point(rng, dom)
+    c = sample_calibration(rng)
+    p = sample_stage_point(rng)
     got = frames.stage_to_camera(p, c)
     ca = math.cos(c.alpha)
     sa = math.sin(c.alpha)
@@ -204,10 +196,10 @@ def _check_camera_stage(rng: SplitMix64, dom: SampleDomain):
     return violation, {**_calibration_inputs(c), "x": p.x, "y": p.y}
 
 
-def _check_image_camera(rng: SplitMix64, dom: SampleDomain):
+def _check_image_camera(rng: SplitMix64):
     """Library camera_to_image vs (fx*xc, fy*yc), normalized by that scale."""
-    c = sample_calibration(rng, dom)
-    cp = frames.CameraPoint(rng.uniform(*dom.position), rng.uniform(*dom.position))
+    c = sample_calibration(rng)
+    cp = frames.CameraPoint(rng.uniform(*_POSITION), rng.uniform(*_POSITION))
     got = frames.camera_to_image(cp, c)
     want_u = c.fx * cp.xc
     want_v = c.fy * cp.yc
@@ -216,14 +208,14 @@ def _check_image_camera(rng: SplitMix64, dom: SampleDomain):
     return violation, {**_calibration_inputs(c), "xc": cp.xc, "yc": cp.yc}
 
 
-def _check_image_stage(rng: SplitMix64, dom: SampleDomain):
+def _check_image_stage(rng: SplitMix64):
     """stage_to_image vs the two-step composition and vs the raw affine form.
 
     Per-component normalization by fx*(|x|+|y|+dx) resp. fy*(|x|+|y|+dy),
     the magnitude the affine evaluation actually moves through.
     """
-    c = sample_calibration(rng, dom)
-    p = sample_stage_point(rng, dom)
+    c = sample_calibration(rng)
+    p = sample_stage_point(rng)
     direct = frames.stage_to_image(p, c)
     composed = frames.camera_to_image(frames.stage_to_camera(p, c), c)
     ca = math.cos(c.alpha)
@@ -241,7 +233,7 @@ def _check_image_stage(rng: SplitMix64, dom: SampleDomain):
     return violation, {**_calibration_inputs(c), "x": p.x, "y": p.y}
 
 
-def _check_homogeneous_solution(rng: SplitMix64, dom: SampleDomain):
+def _check_homogeneous_solution(rng: SplitMix64):
     """Equation-of-motion residual of the zero-input closed form.
 
     Sweeps a uniform grid over t in [0, 10] with
@@ -249,15 +241,15 @@ def _check_homogeneous_solution(rng: SplitMix64, dom: SampleDomain):
     exact analytic velocity and acceleration columns, the zero-wrench
     dynamics_residual. Absolute max-norm violation.
     """
-    m = sample_masses(rng, dom)
-    init = sample_initial_state(rng, dom)
+    m = sample_masses(rng)
+    init = sample_initial_state(rng)
     worst = dynamics.homogeneous_residual_maxnorm(
         m, init, 0.0, _THM4_T_MAX, _THM4_GRID_POINTS
     )
     return worst, {**_mass_inputs(m), **_state_inputs(init)}
 
 
-def _check_image_dynamics(rng: SplitMix64, dom: SampleDomain):
+def _check_image_dynamics(rng: SplitMix64):
     """Image-space residual of a transformed zero-residual stage state.
 
     Builds the stage acceleration axis-by-axis from the equation of motion
@@ -266,10 +258,10 @@ def _check_image_dynamics(rng: SplitMix64, dom: SampleDomain):
     vanish. Violation normalized by (1 + |wrench|_inf), matching the
     stated wrench-relative bound.
     """
-    m = sample_masses(rng, dom)
-    c = sample_calibration(rng, dom)
-    vel = Vec2(rng.uniform(*dom.velocity), rng.uniform(*dom.velocity))
-    w = sample_wrench(rng, dom)
+    m = sample_masses(rng)
+    c = sample_calibration(rng)
+    vel = Vec2(rng.uniform(*_VELOCITY), rng.uniform(*_VELOCITY))
+    w = sample_wrench(rng)
     net = w.net_input()
     accel = Vec2(
         (net.e1 - vel.e1) / m.x_effective,
@@ -289,14 +281,14 @@ def _check_image_dynamics(rng: SplitMix64, dom: SampleDomain):
     }
 
 
-def _check_inverse_identity(rng: SplitMix64, dom: SampleDomain):
+def _check_inverse_identity(rng: SplitMix64):
     """m . inverse2(m) = I for transformation and mass-scaled matrices.
 
     Deviation divided by max(1, |m|_inf^2 / |det m|), the conditioning of
     the adjugate formula.
     """
-    c = sample_calibration(rng, dom)
-    m = sample_masses(rng, dom)
+    c = sample_calibration(rng)
+    m = sample_masses(rng)
     t_mat = frames.transformation_matrix(c)
     worst = 0.0
     for mat in (t_mat, mat_mul(dynamics.mass_matrix(m), t_mat)):
@@ -310,11 +302,11 @@ def _check_inverse_identity(rng: SplitMix64, dom: SampleDomain):
     return worst, {**_calibration_inputs(c), **_mass_inputs(m)}
 
 
-def _check_det_product(rng: SplitMix64, dom: SampleDomain):
+def _check_det_product(rng: SplitMix64):
     """det(a.b) = det(a) det(b), relative to max(1, |det a . det b|)."""
-    c = sample_calibration(rng, dom)
-    m = sample_masses(rng, dom)
-    beta = rng.uniform(*dom.alpha)
+    c = sample_calibration(rng)
+    m = sample_masses(rng)
+    beta = rng.uniform(*_ALPHA)
     a = frames.transformation_matrix(c)
     b = mat_mul(dynamics.mass_matrix(m), frames.rotation_matrix(beta))
     da = determinant(a)
@@ -324,14 +316,14 @@ def _check_det_product(rng: SplitMix64, dom: SampleDomain):
     return violation, {**_calibration_inputs(c), **_mass_inputs(m), "beta": beta}
 
 
-def _check_matvec_linearity(rng: SplitMix64, dom: SampleDomain):
+def _check_matvec_linearity(rng: SplitMix64):
     """m.(s*u + r*v) = s*(m.u) + r*(m.v), normalized by the moved magnitude."""
-    c = sample_calibration(rng, dom)
+    c = sample_calibration(rng)
     mat = frames.transformation_matrix(c)
-    u = Vec2(rng.uniform(*dom.position), rng.uniform(*dom.position))
-    v = Vec2(rng.uniform(*dom.position), rng.uniform(*dom.position))
-    s = rng.uniform(*dom.wrench)
-    r = rng.uniform(*dom.wrench)
+    u = Vec2(rng.uniform(*_POSITION), rng.uniform(*_POSITION))
+    v = Vec2(rng.uniform(*_POSITION), rng.uniform(*_POSITION))
+    s = rng.uniform(*_WRENCH)
+    r = rng.uniform(*_WRENCH)
     lhs = mat_vec_mul(mat, u.scaled(s) + v.scaled(r))
     rhs = mat_vec_mul(mat, u).scaled(s) + mat_vec_mul(mat, v).scaled(r)
     denom = max(
@@ -349,9 +341,9 @@ def _check_matvec_linearity(rng: SplitMix64, dom: SampleDomain):
     }
 
 
-def _check_factorization(rng: SplitMix64, dom: SampleDomain):
+def _check_factorization(rng: SplitMix64):
     """transformation_matrix = display_resolution_matrix . rotation_matrix."""
-    c = sample_calibration(rng, dom)
+    c = sample_calibration(rng)
     direct = frames.transformation_matrix(c)
     factored = mat_mul(
         frames.display_resolution_matrix(c.fx, c.fy), frames.rotation_matrix(c.alpha)
@@ -363,17 +355,17 @@ def _check_factorization(rng: SplitMix64, dom: SampleDomain):
     return violation, _calibration_inputs(c)
 
 
-def _check_det_scale(rng: SplitMix64, dom: SampleDomain):
+def _check_det_scale(rng: SplitMix64):
     """det T = fx*fy up to the trig identity, relative to fx*fy."""
-    c = sample_calibration(rng, dom)
+    c = sample_calibration(rng)
     dev = abs(determinant(frames.transformation_matrix(c)) - c.fx * c.fy)
     violation = dev / max(1.0, c.fx * c.fy)
     return violation, _calibration_inputs(c)
 
 
-def _check_rotation_inverse(rng: SplitMix64, dom: SampleDomain):
+def _check_rotation_inverse(rng: SplitMix64):
     """R(alpha) . R(-alpha) = I, absolute (rotation entries are order 1)."""
-    alpha = rng.uniform(*dom.alpha)
+    alpha = rng.uniform(*_ALPHA)
     prod = mat_mul(frames.rotation_matrix(alpha), frames.rotation_matrix(-alpha))
     violation = max(
         abs(prod.a11 - 1.0), abs(prod.a12), abs(prod.a21), abs(prod.a22 - 1.0)
@@ -381,14 +373,14 @@ def _check_rotation_inverse(rng: SplitMix64, dom: SampleDomain):
     return violation, {"alpha": alpha}
 
 
-def _check_round_trip(rng: SplitMix64, dom: SampleDomain):
+def _check_round_trip(rng: SplitMix64):
     """image_to_stage(stage_to_image(p)) = p.
 
     Normalized by the recovered scale |T^-1|_inf * (|T|_inf |p|_inf +
     |offset|_inf), which is what the round trip actually amplifies.
     """
-    c = sample_calibration(rng, dom)
-    p = sample_stage_point(rng, dom)
+    c = sample_calibration(rng)
+    p = sample_stage_point(rng)
     img = frames.stage_to_image(p, c)
     back = frames.image_to_stage(img, c)
     t_mat = frames.transformation_matrix(c)
@@ -400,7 +392,7 @@ def _check_round_trip(rng: SplitMix64, dom: SampleDomain):
     return violation, {**_calibration_inputs(c), "x": p.x, "y": p.y}
 
 
-def _check_derivative_fd(rng: SplitMix64, dom: SampleDomain):
+def _check_derivative_fd(rng: SplitMix64):
     """Central difference of analytic position vs analytic velocity.
 
     h = 1e-4; t drawn from [1, 10], where the O(h^2) truncation bound
@@ -409,8 +401,8 @@ def _check_derivative_fd(rng: SplitMix64, dom: SampleDomain):
     exceeds the tolerance, so smaller times cannot certify anything at
     this step size. Absolute violation.
     """
-    m = sample_masses(rng, dom)
-    init = sample_initial_state(rng, dom)
+    m = sample_masses(rng)
+    init = sample_initial_state(rng)
     t = rng.uniform(1.0, _THM4_T_MAX)
     state = dynamics.analytic_homogeneous_solution(m, init, t)
     dev_x = finite_difference_check(
@@ -428,7 +420,7 @@ def _check_derivative_fd(rng: SplitMix64, dom: SampleDomain):
     return max(dev_x, dev_y), {**_mass_inputs(m), **_state_inputs(init), "t": t}
 
 
-def _check_constant_input_reduction(rng: SplitMix64, dom: SampleDomain):
+def _check_constant_input_reduction(rng: SplitMix64):
     """Constant-input closed form at w = 0 vs the zero-input closed form.
 
     At w = 0 the constant-input grouping collapses to the zero-input
@@ -436,8 +428,8 @@ def _check_constant_input_reduction(rng: SplitMix64, dom: SampleDomain):
     tolerance only allows for round-off. Normalized by the solution scale
     (|pos0| + m_eff*|vel0| for positions, |vel0| for velocities).
     """
-    m = sample_masses(rng, dom)
-    init = sample_initial_state(rng, dom)
+    m = sample_masses(rng)
+    init = sample_initial_state(rng)
     t = rng.uniform(0.0, _THM4_T_MAX)
     a = dynamics.analytic_homogeneous_solution(m, init, t)
     b = dynamics.analytic_constant_input_solution(m, init, dynamics.ZERO_WRENCH, t)
@@ -473,15 +465,15 @@ def _max_error_vs_analytic(
     )
 
 
-def _check_integrator_vs_analytic(rng: SplitMix64, dom: SampleDomain):
+def _check_integrator_vs_analytic(rng: SplitMix64):
     """Fixed-step RK4 vs the constant-input closed form, absolute max-norm.
 
     Per draw: 1000 steps at dt = min(1e-3, m_min/128), so the step always
     resolves the fastest time constant in the sampled mass range.
     """
-    m = sample_masses(rng, dom)
-    init = sample_initial_state(rng, dom)
-    w = sample_wrench(rng, dom)
+    m = sample_masses(rng)
+    init = sample_initial_state(rng)
+    w = sample_wrench(rng)
     dt = _integrator_step(m)
     violation = _max_error_vs_analytic(m, init, w, dt, _INTEGRATOR_STEPS)
     return violation, {
@@ -492,7 +484,7 @@ def _check_integrator_vs_analytic(rng: SplitMix64, dom: SampleDomain):
     }
 
 
-def _check_integrator_order(rng: SplitMix64, dom: SampleDomain):
+def _check_integrator_order(rng: SplitMix64):
     """Halving the step must cut the max error vs the closed form >= 12x.
 
     Runs the zero-input problem at dt = m_min/8 for 64 steps and again at
@@ -502,8 +494,8 @@ def _check_integrator_order(rng: SplitMix64, dom: SampleDomain):
     error sits below the 1e-11 round-off floor cannot resolve a ratio and
     count as zero.
     """
-    m = sample_masses(rng, dom)
-    init = sample_initial_state(rng, dom)
+    m = sample_masses(rng)
+    init = sample_initial_state(rng)
     dt = min(m.x_effective, m.y_effective) / 8.0
     err_coarse = _max_error_vs_analytic(m, init, dynamics.ZERO_WRENCH, dt, 64)
     err_fine = _max_error_vs_analytic(m, init, dynamics.ZERO_WRENCH, dt / 2.0, 128)
@@ -517,7 +509,7 @@ def _check_integrator_order(rng: SplitMix64, dom: SampleDomain):
 # ---------------------------------------------------------------------------
 # registry and engine
 
-_Evaluator = Callable[[SplitMix64, SampleDomain], tuple[float, dict]]
+_Evaluator = Callable[[SplitMix64], tuple[float, dict]]
 
 #: Registry: property id -> (tolerance, evaluator). Order is the report order.
 PROPERTIES: dict[str, tuple[float, _Evaluator]] = {
@@ -543,7 +535,7 @@ PROPERTIES: dict[str, tuple[float, _Evaluator]] = {
 def check_theorem(
     property_id: str, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> PropertyReport:
-    """Run one registered property over `samples` draws from DEFAULT_DOMAIN.
+    """Run one registered property over `samples` seeded draws.
 
     Deterministic in (property_id, samples, seed). A sample whose
     violation is NaN, or whose evaluator raises, cannot be judged: the
@@ -566,7 +558,7 @@ def check_theorem(
     worst_index = 0
     for index in range(samples):
         try:
-            violation, inputs = evaluator(rng, DEFAULT_DOMAIN)
+            violation, inputs = evaluator(rng)
         except Exception as exc:
             violation, inputs = math.nan, {"error": type(exc).__name__}
         unjudged = math.isnan(violation)

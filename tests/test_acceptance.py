@@ -32,7 +32,7 @@ from cellstage.frames import (
     transformation_matrix,
 )
 from cellstage.linalg2 import Mat2, Vec2, determinant, inverse2, mat_mul, mat_vec_mul
-from cellstage.propcheck import DEFAULT_DOMAIN, check_theorem
+from cellstage.propcheck import check_theorem
 from cellstage._rng import property_stream
 
 from conftest import DATA_DIR, REFERENCE_CONFIG, run_cli
@@ -51,8 +51,8 @@ def test_c1_c2_composition_and_affine_form():
     worst_affine = 0.0
     start = time.perf_counter()
     for _ in range(10_000):
-        c = propcheck.sample_calibration(rng, DEFAULT_DOMAIN)
-        p = propcheck.sample_stage_point(rng, DEFAULT_DOMAIN)
+        c = propcheck.sample_calibration(rng)
+        p = propcheck.sample_stage_point(rng)
         direct = stage_to_image(p, c)
         composed = camera_to_image(stage_to_camera(p, c), c)
         ca = math.cos(c.alpha)
@@ -91,8 +91,8 @@ def test_c3_closed_form_residual_grid():
     worst = 0.0
     start = time.perf_counter()
     for _ in range(100):
-        m = propcheck.sample_masses(rng, DEFAULT_DOMAIN)
-        init = propcheck.sample_initial_state(rng, DEFAULT_DOMAIN)
+        m = propcheck.sample_masses(rng)
+        init = propcheck.sample_initial_state(rng)
         worst = max(worst, homogeneous_residual_maxnorm(m, init, 0.0, 10.0, 10_001))
     elapsed = time.perf_counter() - start
     _report(
@@ -158,10 +158,10 @@ def test_c5_image_space_dynamics():
     rng = property_stream(42, "ACCEPTANCE_THM5_IDENTITY")
     worst = 0.0
     for _ in range(1000):
-        m = propcheck.sample_masses(rng, DEFAULT_DOMAIN)
+        m = propcheck.sample_masses(rng)
         accel = Vec2(rng.uniform(-100, 100), rng.uniform(-100, 100))
         vel = Vec2(rng.uniform(-100, 100), rng.uniform(-100, 100))
-        w = propcheck.sample_wrench(rng, DEFAULT_DOMAIN)
+        w = propcheck.sample_wrench(rng)
         img = image_dynamics_residual(m, identity_cal, accel, vel, w)
         stage = dynamics_residual(m, accel, vel, w)
         worst = max(worst, (img - stage).inf_norm())
@@ -179,7 +179,7 @@ def test_c6_inverse_identities():
     worst_inv = 0.0
     worst_det = 0.0
     for _ in range(10_000):
-        c = propcheck.sample_calibration(rng, DEFAULT_DOMAIN)
+        c = propcheck.sample_calibration(rng)
         t_mat = transformation_matrix(c)
         prod = mat_mul(t_mat, inverse2(t_mat))
         worst_inv = max(

@@ -187,6 +187,25 @@ class TestSimulate:
         assert result.returncode == 3
         assert "diverged" in result.stderr
 
+    def test_nan_state_exits_3_and_leaves_no_file(self, tmp_path):
+        # One 1e199 s step on 1e-12 kg masses turns x and xdot into NaN
+        # without either passing 1e100 first.
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(
+            TRANSLATION_ONLY.replace("mx = 0.5", "mx = 1e-12")
+            .replace("my = 0.3", "my = 1e-12")
+            .replace("mp = 0.2", "mp = 1e-12")
+            .replace("xd0 = 0.0", "xd0 = 1.0")
+            .replace("dt = 0.1", "dt = 1e199")
+            .replace("t_end = 1.0", "t_end = 1e200")
+        )
+        out = tmp_path / "nan.csv"
+        result = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 3
+        assert result.stderr.startswith("error: simulation diverged: ")
+        assert "Traceback" not in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["nan.cfg"]
+
     def test_config_error_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(TRANSLATION_ONLY.replace("mx = 0.5", "mx = -0.5"))
@@ -446,6 +465,8 @@ class TestVerify:
     def test_zero_samples_is_usage_error(self):
         result = run_cli("verify", "--samples", "0")
         assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: samples must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_is_usage_error(self, seed, capsys):
@@ -463,7 +484,7 @@ class TestVerify:
         assert all(line.split()[5] == str(seed) for line in lines)
 
     def test_unjudged_sample_fails_verify(self, monkeypatch, capsys):
-        def raises(rng, dom):
+        def raises(rng):
             raise OverflowError("math range error")
 
         monkeypatch.setitem(propcheck.PROPERTIES, "FAKE_RAISES", (1e-12, raises))

@@ -484,6 +484,32 @@ class TestSimulate:
         with pytest.raises(OverflowError):
             simulate(CANONICAL_MASSES, init, Wrench(taux=1e99), 1.0, 100.0)
 
+    def test_nan_state_trips_the_overflow_guard(self):
+        # One 1e199 s step on 1e-12 kg masses turns x and xdot into NaN
+        # without either passing 1e100 first.
+        m = MassParams(1e-12, 1e-12, 1e-12)
+        init = StageState(0.0, 0.0, 0.0, 1.0, 0.0)
+        with pytest.raises(OverflowError, match="after 1 steps"):
+            simulate(m, init, ZERO_WRENCH, 1e199, 1e200)
+
+    def test_step_cap_admits_a_horizon_of_exactly_the_cap(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+        init = StageState(0.0, 0.0, 0.0, 1.0, 1.0)
+        traj = simulate(CANONICAL_MASSES, init, ZERO_WRENCH, 0.5, 10.5 * 0.5)
+        assert len(traj) == 11
+
+    @pytest.mark.parametrize(
+        "dt, t_end",
+        [(0.5, 11 * 0.5), (5e-324, 1.0)],
+        ids=["one-step-more", "infinite-span"],
+    )
+    def test_step_cap_rejects(self, monkeypatch, dt, t_end):
+        # 1.0 / 5e-324 overflows to inf, which math.floor cannot take.
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 10)
+        init = StageState(0.0, 0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(DomainError, match="above the 10 step cap"):
+            simulate(CANONICAL_MASSES, init, ZERO_WRENCH, dt, t_end)
+
 
 class TestBenchmarkImportContract:
     def test_simulate_calls_the_backend_kernel(self, monkeypatch):

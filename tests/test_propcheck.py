@@ -4,10 +4,10 @@ import math
 import pytest
 
 from cellstage import _backend, dynamics, frames, propcheck
+from cellstage._rng import SplitMix64
 from cellstage.errors import DomainError, UnknownPropertyError
 from cellstage.linalg2 import Mat2
 from cellstage.propcheck import (
-    DEFAULT_DOMAIN,
     PROPERTIES,
     PropertyReport,
     check_theorem,
@@ -159,7 +159,7 @@ class TestUnjudgedSamples:
         """Evaluator giving violation `others` on every sample but sample `at`."""
         calls = []
 
-        def evaluate(rng, dom):
+        def evaluate(rng):
             index = len(calls)
             calls.append(index)
             draw = rng.uniform(0.0, 1.0)
@@ -210,6 +210,57 @@ class TestUnjudgedSamples:
         )
 
 
+#: SplitMix64 outputs each evaluator takes per sample. A worker can start
+#: sample i of a property at its stream's state plus i times this count.
+DRAWS_PER_SAMPLE = {
+    "THM1_CAMERA_STAGE": 7,
+    "THM2_IMAGE_CAMERA": 7,
+    "THM3_IMAGE_STAGE": 7,
+    "THM4_HOMOG_SOLUTION": 7,
+    "THM5_IMAGE_DYNAMICS": 14,
+    "LINALG_INVERSE_IDENTITY": 8,
+    "LINALG_DET_PRODUCT": 9,
+    "LINALG_MATVEC_LINEARITY": 11,
+    "FRAMES_FACTORIZATION": 5,
+    "FRAMES_DET_SCALE": 5,
+    "FRAMES_ROTATION_INVERSE": 1,
+    "FRAMES_ROUND_TRIP": 7,
+    "THM4_DERIVATIVE_FD": 8,
+    "THM4_CONSTANT_INPUT_REDUCTION": 8,
+    "INTEGRATOR_VS_ANALYTIC": 11,
+    "INTEGRATOR_ORDER": 7,
+}
+
+
+class TestDrawsPerSample:
+    def test_table_covers_the_registry(self):
+        assert list(DRAWS_PER_SAMPLE) == list(PROPERTIES)
+
+    @pytest.mark.parametrize("property_id", list(PROPERTIES))
+    def test_each_sample_takes_a_fixed_number_of_draws(self, property_id, monkeypatch):
+        draws = 0
+        next_u64 = SplitMix64.next_u64
+
+        def counting(self):
+            nonlocal draws
+            draws += 1
+            return next_u64(self)
+
+        monkeypatch.setattr(SplitMix64, "next_u64", counting)
+        tolerance, evaluator = PROPERTIES[property_id]
+        per_sample = []
+
+        def counted(rng):
+            before = draws
+            result = evaluator(rng)
+            per_sample.append(draws - before)
+            return result
+
+        monkeypatch.setitem(PROPERTIES, property_id, (tolerance, counted))
+        assert check_theorem(property_id, samples=30, seed=42).passed
+        assert per_sample == [DRAWS_PER_SAMPLE[property_id]] * 30
+
+
 class TestSeedRange:
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_rejects_seed_outside_64_bits(self, seed):
@@ -253,21 +304,20 @@ class TestReportFormat:
 
 class TestSampleDomain:
     def test_defaults_respect_invariants(self):
-        dom = DEFAULT_DOMAIN
-        assert dom.displacement[0] == 0.0 and dom.displacement[1] > 0.0
-        assert dom.resolution[0] > 0.0
-        assert dom.mass[0] > 0.0
-        assert dom.alpha == (-math.pi, math.pi)
+        assert propcheck._DISPLACEMENT_MAX > 0.0
+        assert propcheck._RESOLUTION[0] > 0.0
+        assert propcheck._MASS[0] > 0.0
+        assert propcheck._ALPHA == (-math.pi, math.pi)
 
     def test_samplers_never_violate_type_invariants(self):
         from cellstage._rng import property_stream
 
         rng = property_stream(1, "sampler-smoke")
         for _ in range(500):
-            propcheck.sample_calibration(rng, DEFAULT_DOMAIN)
-            propcheck.sample_masses(rng, DEFAULT_DOMAIN)
-            propcheck.sample_initial_state(rng, DEFAULT_DOMAIN)
-            propcheck.sample_wrench(rng, DEFAULT_DOMAIN)
+            propcheck.sample_calibration(rng)
+            propcheck.sample_masses(rng)
+            propcheck.sample_initial_state(rng)
+            propcheck.sample_wrench(rng)
 
 
 class TestFiniteDifferenceCheck:
