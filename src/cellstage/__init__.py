@@ -51,7 +51,6 @@ from .dynamics import (
 from .propcheck import (
     PropertyReport,
     check_theorem,
-    finite_difference_check,
     format_report,
     run_all,
 )

@@ -59,7 +59,8 @@ def rk4_stage_path(mx_eff, my_eff, cx, cy, x0, y0, vx0, vy0, dt, n_steps):
             and abs(vy) <= OVERFLOW_LIMIT
         ):
             raise OverflowError(
-                f"state exceeded {OVERFLOW_LIMIT:g} after {len(xs)} steps"
+                f"state left [{-OVERFLOW_LIMIT:g}, {OVERFLOW_LIMIT:g}]"
+                f" at step {len(xs)}"
             )
         xs.append(x)
         ys.append(y)

@@ -3,10 +3,11 @@
 The stage frame sits on the positioning table holding the cells, the camera
 frame on the microscope optics, the image frame on the pixel plane. A planar
 rotation `alpha` plus displacement (dx, dy) maps stage to camera; per-axis
-display-resolution scales (fx, fy) map camera to image. Both affine maps out
-of the stage frame are written once, over coordinate columns, in
-`_affine_columns`; the pointwise `stage_to_camera` and `stage_to_image` are
-one-row calls of the column maps, so each CSV row has the point map's bits.
+display-resolution scales (fx, fy) map camera to image. All four frame maps
+are written once, over coordinate columns, in `_affine_columns`:
+`stage_to_camera` and `stage_to_image` are one-row calls of the column maps,
+so each CSV row has the point map's bits, and `camera_to_image` and
+`image_to_stage` are one-row calls of the core itself.
 
 The three point types are deliberately distinct so a frame mix-up is a type
 error rather than a silent bug.
@@ -23,7 +24,6 @@ from .linalg2 import (
     Mat2,
     Vec2,
     inverse2,
-    mat_vec_mul,
     _require_finite,
     _require_finite_column,
 )
@@ -84,9 +84,6 @@ class CameraPoint:
         _require_finite("xc", self.xc)
         _require_finite("yc", self.yc)
 
-    def vec(self) -> Vec2:
-        return Vec2(self.xc, self.yc)
-
 
 @dataclass(frozen=True)
 class ImagePoint:
@@ -98,9 +95,6 @@ class ImagePoint:
     def __post_init__(self):
         _require_finite("u", self.u)
         _require_finite("v", self.v)
-
-    def vec(self) -> Vec2:
-        return Vec2(self.u, self.v)
 
 
 def rotation_matrix(alpha: float) -> Mat2:
@@ -135,6 +129,11 @@ def transformation_matrix(c: Calibration) -> Mat2:
     ca = math.cos(c.alpha)
     sa = math.sin(c.alpha)
     return Mat2(c.fx * ca, c.fx * sa, -c.fy * sa, c.fy * ca)
+
+
+#: Offset of a map without one: x + (-0.0) is x bit for bit, -0.0 included,
+#: where x + 0.0 would turn -0.0 into 0.0.
+_NO_OFFSET = -0.0
 
 
 def _affine_columns(names, a11, a12, a21, a22, b1, b2, xs, ys, first_row=0):
@@ -188,9 +187,12 @@ def stage_to_camera(p: StagePoint, c: Calibration) -> CameraPoint:
 
 
 def camera_to_image(p: CameraPoint, c: Calibration) -> ImagePoint:
-    """(u, v) = (fx * xc, fy * yc)."""
-    scaled = mat_vec_mul(display_resolution_matrix(c.fx, c.fy), p.vec())
-    return ImagePoint(scaled.e1, scaled.e2)
+    """(u, v) = (fx * xc, fy * yc): one row of the affine core, diag(fx, fy)."""
+    s = display_resolution_matrix(c.fx, c.fy)
+    (u,), (v,) = _affine_columns(
+        ("u", "v"), s.a11, s.a12, s.a21, s.a22, _NO_OFFSET, _NO_OFFSET, (p.xc,), (p.yc,)
+    )
+    return ImagePoint(u, v)
 
 
 def stage_to_image(p: StagePoint, c: Calibration) -> ImagePoint:
@@ -209,5 +211,9 @@ def image_to_stage(p: ImagePoint, c: Calibration) -> StagePoint:
     on degenerate inputs constructed around the validation.
     """
     t_inv = inverse2(transformation_matrix(c))
-    recovered = mat_vec_mul(t_inv, p.vec() - Vec2(c.fx * c.dx, c.fy * c.dy))
-    return StagePoint(recovered.e1, recovered.e2)
+    (x,), (y,) = _affine_columns(
+        ("x", "y"),
+        t_inv.a11, t_inv.a12, t_inv.a21, t_inv.a22, _NO_OFFSET, _NO_OFFSET,
+        (p.u - c.fx * c.dx,), (p.v - c.fy * c.dy,),
+    )
+    return StagePoint(x, y)

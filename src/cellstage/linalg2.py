@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, SingularError
 
-#: Default absolute threshold on |det| below which a matrix is treated as
+#: Absolute threshold on |det| below which inverse2 treats a matrix as
 #: singular. Calibration scales are near unity in practice, so an absolute
 #: test is adequate.
 DEFAULT_SINGULAR_EPS = 1e-12
@@ -111,14 +111,14 @@ def determinant(m: Mat2) -> float:
     return m.a11 * m.a22 - m.a12 * m.a21
 
 
-def inverse2(m: Mat2, eps: float = DEFAULT_SINGULAR_EPS) -> Mat2:
+def inverse2(m: Mat2) -> Mat2:
     """Closed-form adjugate/determinant inverse.
 
-    Raises SingularError when |det| < eps (eps is absolute and must be > 0).
+    Raises SingularError when |det| < DEFAULT_SINGULAR_EPS.
     """
-    if not (eps > 0.0):
-        raise DomainError(f"eps must be positive, got {eps!r}")
     det = determinant(m)
-    if abs(det) < eps:
-        raise SingularError(f"matrix is singular within eps={eps!r}: det={det!r}")
+    if abs(det) < DEFAULT_SINGULAR_EPS:
+        raise SingularError(
+            f"matrix is singular within eps={DEFAULT_SINGULAR_EPS!r}: det={det!r}"
+        )
     return Mat2(m.a22 / det, -m.a12 / det, -m.a21 / det, m.a11 / det)

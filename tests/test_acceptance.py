@@ -35,7 +35,7 @@ from cellstage.linalg2 import Mat2, Vec2, determinant, inverse2, mat_mul, mat_ve
 from cellstage.propcheck import check_theorem
 from cellstage._rng import property_stream
 
-from conftest import DATA_DIR, REFERENCE_CONFIG, run_cli
+from conftest import DATA_DIR, REFERENCE_CONFIG, run_cli, start_cli
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -93,7 +93,7 @@ def test_c3_closed_form_residual_grid():
     for _ in range(100):
         m = propcheck.sample_masses(rng)
         init = propcheck.sample_initial_state(rng)
-        worst = max(worst, homogeneous_residual_maxnorm(m, init, 0.0, 10.0, 10_001))
+        worst = max(worst, homogeneous_residual_maxnorm(m, init, 10.0, 10_001))
     elapsed = time.perf_counter() - start
     _report(
         "C3 closed-form-residual",
@@ -225,20 +225,20 @@ def test_c8_determinism():
     """verify --seed 42 twice gives byte-identical reports, equal to the
     committed seed-42 fixture; simulate on the reference config reproduces
     the committed fixture byte-for-byte."""
-    first = run_cli("verify", "--seed", "42")
-    second = run_cli("verify", "--seed", "42")
+    # Both children run at once, so the test waits for one verify, not two.
+    children = [start_cli("verify", "--seed", "42") for _ in range(2)]
+    (first, _), (second, _) = [child.communicate() for child in children]
     golden = (DATA_DIR / "verify_seed42_samples1000.txt").read_text()
     verify_ok = (
-        first.returncode == 0
-        and second.returncode == 0
-        and first.stdout == second.stdout
-        and first.stdout == golden
-        and len(first.stdout.splitlines()) == len(propcheck.PROPERTIES)
+        all(child.returncode == 0 for child in children)
+        and first == second
+        and first == golden
+        and len(first.splitlines()) == len(propcheck.PROPERTIES)
     )
     _report(
         "C8a verify-determinism",
         verify_ok,
-        f"two runs, {len(first.stdout.splitlines())} report lines, byte-identical={first.stdout == second.stdout}, matches fixture={first.stdout == golden}",
+        f"two runs, {len(first.splitlines())} report lines, byte-identical={first == second}, matches fixture={first == golden}",
     )
 
 

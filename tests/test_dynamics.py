@@ -314,7 +314,7 @@ class TestHomogeneousResidualSweep:
         m = MassParams(0.7, 0.4, 0.25)
         init = StageState(0.0, 3.0, -2.0, 7.0, -11.0)
         points = 101
-        swept = homogeneous_residual_maxnorm(m, init, 0.0, 10.0, points)
+        swept = homogeneous_residual_maxnorm(m, init, 10.0, points)
         worst = 0.0
         for i in range(points):
             t = 10.0 * i / (points - 1)
@@ -331,14 +331,14 @@ class TestHomogeneousResidualSweep:
         # cancels exactly at t = 0, and t1 never enters a 1-point grid.
         m = MassParams(0.5, 0.25, 0.25)
         init = StageState(0.0, 0.0, 0.0, 1.0, 1.0)
-        assert homogeneous_residual_maxnorm(m, init, 0.0, 10.0, 1) == 0.0
+        assert homogeneous_residual_maxnorm(m, init, 10.0, 1) == 0.0
 
     def test_rejects_bad_grid(self):
         init = StageState(0.0, 0.0, 0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
-            homogeneous_residual_maxnorm(CANONICAL_MASSES, init, 0.0, 10.0, 0)
+            homogeneous_residual_maxnorm(CANONICAL_MASSES, init, 10.0, 0)
         with pytest.raises(DomainError):
-            homogeneous_residual_maxnorm(CANONICAL_MASSES, init, 0.0, -1.0, 10)
+            homogeneous_residual_maxnorm(CANONICAL_MASSES, init, -1.0, 10)
 
 
 class TestAnalyticConstantInputSolution:
@@ -489,7 +489,9 @@ class TestSimulate:
         # without either passing 1e100 first.
         m = MassParams(1e-12, 1e-12, 1e-12)
         init = StageState(0.0, 0.0, 0.0, 1.0, 0.0)
-        with pytest.raises(OverflowError, match="after 1 steps"):
+        with pytest.raises(
+            OverflowError, match=r"^state left \[-1e\+100, 1e\+100\] at step 1$"
+        ):
             simulate(m, init, ZERO_WRENCH, 1e199, 1e200)
 
     def test_step_cap_admits_a_horizon_of_exactly_the_cap(self, monkeypatch):

@@ -22,7 +22,7 @@ from cellstage.frames import (
     stage_to_image_columns,
     transformation_matrix,
 )
-from cellstage.linalg2 import IDENTITY, Mat2, Vec2, determinant, mat_mul
+from cellstage.linalg2 import IDENTITY, Mat2, Vec2, determinant, inverse2, mat_mul
 from cellstage._rng import SplitMix64
 
 mpmath.mp.dps = 50
@@ -246,6 +246,7 @@ class TestImageToStage:
 class TestColumnTransforms:
     def test_bit_equal_to_literal_affine_forms(self):
         rng = SplitMix64(2024)
+        image_bits, stage_bits = set(), set()
         for _ in range(20):
             c = Calibration(
                 alpha=rng.uniform(-math.pi, math.pi),
@@ -254,8 +255,8 @@ class TestColumnTransforms:
                 fx=rng.log_uniform(0.1, 100.0),
                 fy=rng.log_uniform(0.1, 100.0),
             )
-            xs = [rng.uniform(-1e3, 1e3) for _ in range(50)] + [0.0, -0.0]
-            ys = [rng.uniform(-1e3, 1e3) for _ in range(50)] + [-0.0, 0.0]
+            xs = [rng.uniform(-1e3, 1e3) for _ in range(50)] + [-0.0, 0.0, -0.0]
+            ys = [rng.uniform(-1e3, 1e3) for _ in range(50)] + [-0.0, -0.0, 0.0]
             ca = math.cos(c.alpha)
             sa = math.sin(c.alpha)
             fx, fy, dx, dy = c.fx, c.fy, c.dx, c.dy
@@ -275,6 +276,25 @@ class TestColumnTransforms:
                 img = stage_to_image(StagePoint(xs[i], ys[i]), c)
                 assert (cam.xc.hex(), cam.yc.hex()) == (xc[i].hex(), yc[i].hex())
                 assert (img.u.hex(), img.v.hex()) == (u[i].hex(), v[i].hex())
+            # camera_to_image and image_to_stage are one-row calls of the core
+            # with a -0.0 offset, so they keep the bare products' signed zeros;
+            # (fx*dx, fy*dy) maps to zeros signed like the entries of T^-1.
+            inv = inverse2(transformation_matrix(c))
+            for a, b in zip(xs + [fx * dx], ys + [fy * dy]):
+                img = camera_to_image(CameraPoint(a, b), c)
+                back = image_to_stage(ImagePoint(a, b), c)
+                want_img = (fx * a + 0.0 * b, 0.0 * a + fy * b)
+                want_back = (
+                    inv.a11 * (a - fx * dx) + inv.a12 * (b - fy * dy),
+                    inv.a21 * (a - fx * dx) + inv.a22 * (b - fy * dy),
+                )
+                assert (img.u.hex(), img.v.hex()) == tuple(w.hex() for w in want_img)
+                assert (back.x.hex(), back.y.hex()) == tuple(w.hex() for w in want_back)
+                image_bits.update((img.u.hex(), img.v.hex()))
+                stage_bits.update((back.x.hex(), back.y.hex()))
+        # Both maps met a -0.0, which a +0.0 offset would turn into +0.0.
+        assert (-0.0).hex() in image_bits
+        assert (-0.0).hex() in stage_bits
 
     def test_non_finite_image_column_raises(self):
         c = Calibration(alpha=0.0, dx=1.0, dy=1.0, fx=1e300, fy=1.0)
@@ -282,6 +302,13 @@ class TestColumnTransforms:
             stage_to_image_columns([0.0, 1e9], [0.0, 0.0], c)
         with pytest.raises(DomainError, match=r"u\[4097\] must be finite"):
             stage_to_image_columns([0.0, 1e9], [0.0, 0.0], c, first_row=4096)
+
+    def test_overflowing_point_maps_name_their_row_column(self):
+        c = Calibration(alpha=0.0, dx=1.0, dy=1.0, fx=0.1, fy=1e10)
+        with pytest.raises(DomainError, match=r"^v\[0\] must be finite, got inf$"):
+            camera_to_image(CameraPoint(0.0, 1e300), c)
+        with pytest.raises(DomainError, match=r"^x\[0\] must be finite, got -inf$"):
+            image_to_stage(ImagePoint(-1.7e308, 0.0), c)
 
     def test_non_finite_camera_column_raises(self):
         c = Calibration(alpha=math.pi / 4, dx=1.0, dy=1.0, fx=1.0, fy=1.0)

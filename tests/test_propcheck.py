@@ -11,7 +11,6 @@ from cellstage.propcheck import (
     PROPERTIES,
     PropertyReport,
     check_theorem,
-    finite_difference_check,
     format_report,
     run_all,
 )
@@ -101,13 +100,26 @@ class TestMutationSensitivity:
         assert report.max_violation > report.tolerance
         assert report.counterexample is not None
 
+    def test_corrupted_velocity_fails_derivative_fd(self, monkeypatch):
+        true_columns = dynamics.homogeneous_columns
+
+        def corrupted(m, init, times):
+            x, y, xdot, ydot, xddot, yddot = true_columns(m, init, times)
+            return x, y, [v * 1.001 for v in xdot], ydot, xddot, yddot
+
+        monkeypatch.setattr(dynamics, "homogeneous_columns", corrupted)
+        report = check_theorem("THM4_DERIVATIVE_FD", samples=FAST, seed=42)
+        assert report.status == "fail"
+        assert report.max_violation > report.tolerance
+        assert [k for k, _ in report.counterexample][-1] == "t"
+
     def test_corrupted_inverse_fails_round_trip(self, monkeypatch):
         from cellstage import linalg2
 
         true_inverse = linalg2.inverse2
 
-        def skewed(m, eps=linalg2.DEFAULT_SINGULAR_EPS):
-            inv = true_inverse(m, eps)
+        def skewed(m):
+            inv = true_inverse(m)
             return Mat2(inv.a11 * (1 + 1e-6), inv.a12, inv.a21, inv.a22)
 
         monkeypatch.setattr(frames, "inverse2", skewed)
@@ -318,27 +330,3 @@ class TestSampleDomain:
             propcheck.sample_masses(rng)
             propcheck.sample_initial_state(rng)
             propcheck.sample_wrench(rng)
-
-
-class TestFiniteDifferenceCheck:
-    def test_constant_function(self):
-        assert finite_difference_check(lambda _: 4.0, 1.0, 1e-4, 0.0) <= 1e-12
-
-    def test_linear_function(self):
-        assert finite_difference_check(lambda t: 3.5 * t - 1.0, 2.0, 1e-4, 3.5) <= 1e-10
-
-    def test_analytic_position_at_t1(self):
-        m = dynamics.MassParams(0.5, 0.3, 0.2)
-        init = dynamics.StageState(0.0, 0.0, 0.0, 1.0, 0.0)
-        state = dynamics.analytic_homogeneous_solution(m, init, 1.0)
-        dev = finite_difference_check(
-            lambda t: dynamics.analytic_homogeneous_solution(m, init, t).x,
-            1.0,
-            1e-4,
-            state.xdot,
-        )
-        assert dev <= 5e-7
-
-    def test_rejects_non_positive_step(self):
-        with pytest.raises(DomainError):
-            finite_difference_check(lambda t: t, 1.0, 0.0, 1.0)
