@@ -18,9 +18,11 @@ how many. There is no environment-variable configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import signal
 import sys
+from itertools import chain
 from pathlib import Path
 
 from . import propcheck
@@ -33,6 +35,7 @@ from .frames import (
     stage_to_image,
     stage_to_image_columns,
 )
+from .linalg2 import _require_finite
 from .scenario import ScenarioConfig, parse_config
 
 EXIT_OK = 0
@@ -67,18 +70,14 @@ def render_trajectory_csv(
     rows = slice(start, stop)
     x = traj.x[rows]
     y = traj.y[rows]
-    calibration = config.calibration
-    try:
-        xc, yc = stage_to_camera_columns(x, y, calibration)
-        u, v = stage_to_image_columns(x, y, calibration)
-    except DomainError:
-        # Map row by row so the error names the first bad row whatever
-        # split of the rows into chunks or ranges led here.
-        for j in range(len(x)):
-            one = slice(j, j + 1)
-            stage_to_camera_columns(x[one], y[one], calibration, start + j)
-            stage_to_image_columns(x[one], y[one], calibration, start + j)
-        raise
+    xc, yc = stage_to_camera_columns(x, y, config.calibration)
+    u, v = stage_to_image_columns(x, y, config.calibration)
+    if not all(map(math.isfinite, chain(xc, yc, u, v))):
+        # Row by row, so the error names the first bad row whatever split
+        # of the rows into chunks or ranges led here.
+        for row, values in enumerate(zip(xc, yc, u, v), start):
+            for name, value in zip(("xc", "yc", "u", "v"), values):
+                _require_finite(f"{name}[{row}]", value)
     t = traj.times(start, stop)
     columns = (t, x, y, traj.xdot[rows], traj.ydot[rows], xc, yc, u, v)
     body = "".join(map(_CSV_ROW.__mod__, zip(*columns)))

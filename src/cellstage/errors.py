@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class SingularError(ArithmeticError):
-    """A matrix is numerically singular: |det| below the caller's epsilon."""
+    """A matrix is numerically singular: |det| below linalg2.DEFAULT_SINGULAR_EPS."""
 
 
 class ParseError(ValueError):

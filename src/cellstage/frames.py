@@ -9,6 +9,12 @@ are written once, over coordinate columns, in `_affine_columns`:
 so each CSV row has the point map's bits, and `camera_to_image` and
 `image_to_stage` are one-row calls of the core itself.
 
+The core and the column maps are unchecked arithmetic; an overflow leaves
+inf or nan in their results. Each value is checked once, where it is used:
+the point types reject a non-finite coordinate, so an overflowing point map
+raises DomainError naming the coordinate, and the CSV writer
+(`cli.render_trajectory_csv`) names the first bad row.
+
 The three point types are deliberately distinct so a frame mix-up is a type
 error rather than a silent bug.
 """
@@ -20,13 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .linalg2 import (
-    Mat2,
-    Vec2,
-    inverse2,
-    _require_finite,
-    _require_finite_column,
-)
+from .linalg2 import Mat2, Vec2, inverse2, _require_finite
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -136,47 +136,38 @@ def transformation_matrix(c: Calibration) -> Mat2:
 _NO_OFFSET = -0.0
 
 
-def _affine_columns(names, a11, a12, a21, a22, b1, b2, xs, ys, first_row=0):
+def _affine_columns(a11, a12, a21, a22, b1, b2, xs, ys):
     """The (a11*x + a12*y) + b1 and (a21*x + a22*y) + b2 lists over rows (x, y).
 
-    Raises DomainError, naming the column from the pair `names` and the
-    first bad row (xs[i] being row first_row + i), if any mapped coordinate
-    is not finite.
+    Pure arithmetic: nothing is checked, so an entry may be inf or nan.
     """
     first = [(a11 * x + a12 * y) + b1 for x, y in zip(xs, ys)]
     second = [(a21 * x + a22 * y) + b2 for x, y in zip(xs, ys)]
-    _require_finite_column(names[0], first, first_row)
-    _require_finite_column(names[1], second, first_row)
     return first, second
 
 
 def stage_to_camera_columns(
-    xs: Sequence[float], ys: Sequence[float], c: Calibration, first_row: int = 0
+    xs: Sequence[float], ys: Sequence[float], c: Calibration
 ) -> tuple[list[float], list[float]]:
     """R(alpha) . (x, y) + (dx, dy) over columns: the (xc, yc) lists.
 
-    Raises DomainError if any mapped coordinate is not finite; the message
-    names the bad row as first_row plus its index in xs.
+    The results are unchecked and may hold inf or nan.
     """
     r = rotation_matrix(c.alpha)
     d = displacement_vector(c.dx, c.dy)
-    return _affine_columns(
-        ("xc", "yc"), r.a11, r.a12, r.a21, r.a22, d.e1, d.e2, xs, ys, first_row
-    )
+    return _affine_columns(r.a11, r.a12, r.a21, r.a22, d.e1, d.e2, xs, ys)
 
 
 def stage_to_image_columns(
-    xs: Sequence[float], ys: Sequence[float], c: Calibration, first_row: int = 0
+    xs: Sequence[float], ys: Sequence[float], c: Calibration
 ) -> tuple[list[float], list[float]]:
     """T(c) . (x, y) + (fx*dx, fy*dy) over columns: the (u, v) lists.
 
-    Raises DomainError if any mapped coordinate is not finite; the message
-    names the bad row as first_row plus its index in xs.
+    The results are unchecked and may hold inf or nan.
     """
     t = transformation_matrix(c)
     return _affine_columns(
-        ("u", "v"),
-        t.a11, t.a12, t.a21, t.a22, c.fx * c.dx, c.fy * c.dy, xs, ys, first_row,
+        t.a11, t.a12, t.a21, t.a22, c.fx * c.dx, c.fy * c.dy, xs, ys
     )
 
 
@@ -190,7 +181,7 @@ def camera_to_image(p: CameraPoint, c: Calibration) -> ImagePoint:
     """(u, v) = (fx * xc, fy * yc): one row of the affine core, diag(fx, fy)."""
     s = display_resolution_matrix(c.fx, c.fy)
     (u,), (v,) = _affine_columns(
-        ("u", "v"), s.a11, s.a12, s.a21, s.a22, _NO_OFFSET, _NO_OFFSET, (p.xc,), (p.yc,)
+        s.a11, s.a12, s.a21, s.a22, _NO_OFFSET, _NO_OFFSET, (p.xc,), (p.yc,)
     )
     return ImagePoint(u, v)
 
@@ -212,7 +203,6 @@ def image_to_stage(p: ImagePoint, c: Calibration) -> StagePoint:
     """
     t_inv = inverse2(transformation_matrix(c))
     (x,), (y,) = _affine_columns(
-        ("x", "y"),
         t_inv.a11, t_inv.a12, t_inv.a21, t_inv.a22, _NO_OFFSET, _NO_OFFSET,
         (p.u - c.fx * c.dx,), (p.v - c.fy * c.dy,),
     )

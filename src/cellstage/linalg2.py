@@ -23,16 +23,11 @@ def _require_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite, got {value!r}")
 
 
-def _require_finite_column(name: str, column, first_row: int = 0) -> None:
-    """Whole-column finiteness check; names the first bad row.
-
-    column[i] is row first_row + i.
-    """
+def _require_finite_column(name: str, column) -> None:
+    """Whole-column finiteness check; names the first bad index."""
     if not all(map(math.isfinite, column)):
         index = next(i for i, v in enumerate(column) if not math.isfinite(v))
-        raise DomainError(
-            f"{name}[{first_row + index}] must be finite, got {column[index]!r}"
-        )
+        _require_finite(f"{name}[{index}]", column[index])
 
 
 @dataclass(frozen=True)

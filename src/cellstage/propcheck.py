@@ -39,7 +39,7 @@ from typing import Callable
 from . import dynamics, frames
 from ._rng import SplitMix64, property_stream
 from .errors import DomainError, UnknownPropertyError
-from .linalg2 import Mat2, Vec2, determinant, inverse2, mat_mul, mat_vec_mul
+from .linalg2 import Vec2, determinant, inverse2, mat_mul, mat_vec_mul
 
 DEFAULT_SAMPLES = 1000
 DEFAULT_SEED = 42

@@ -11,7 +11,6 @@ from cellstage import propcheck
 from cellstage.dynamics import (
     MassParams,
     StageState,
-    Wrench,
     ZERO_WRENCH,
     analytic_homogeneous_solution,
     dynamics_residual,
@@ -22,16 +21,14 @@ from cellstage.dynamics import (
 from cellstage.errors import DomainError, SingularError
 from cellstage.frames import (
     Calibration,
-    StagePoint,
     camera_to_image,
     displacement_vector,
     display_resolution_matrix,
-    image_to_stage,
     stage_to_camera,
     stage_to_image,
     transformation_matrix,
 )
-from cellstage.linalg2 import Mat2, Vec2, determinant, inverse2, mat_mul, mat_vec_mul
+from cellstage.linalg2 import Mat2, Vec2, determinant, inverse2, mat_mul
 from cellstage.propcheck import check_theorem
 from cellstage._rng import property_stream
 

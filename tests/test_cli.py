@@ -9,7 +9,7 @@ import pytest
 from cellstage import cli, frames, propcheck
 from cellstage.dynamics import MAX_STEPS, Trajectory, simulate
 from cellstage.errors import DomainError
-from cellstage.frames import Calibration, StagePoint, stage_to_image
+from cellstage.frames import StagePoint, stage_to_image
 from cellstage.linalg2 import Mat2
 from cellstage.scenario import parse_config
 
@@ -121,7 +121,7 @@ class TestTransform:
         )
         assert result.returncode == 2
         assert result.stdout == ""
-        assert "xc[0] must be finite, got inf" in result.stderr
+        assert result.stderr == "error: xc must be finite, got inf\n"
 
 
 class TestSimulate:
@@ -396,6 +396,20 @@ class TestForkedWriter:
         traj = Trajectory(0.0, 0.1, x, y, [0.0] * 20, [0.0] * 20)
         for start, stop in ((0, 20), (0, 7), (3, 12), (5, 6)):
             with pytest.raises(DomainError, match=r"^v\[5\] must be finite, got inf$"):
+                cli.render_trajectory_csv(traj, config, start, stop)
+
+    def test_nan_coordinate_is_named_by_its_row(self):
+        # At 45 degrees with fx = 1e300, u at (1e9, -1e9) is inf - inf.
+        config = parse_config(
+            WIDE_IMAGE.replace("alpha = 0.0", f"alpha = {math.pi / 4!r}").encode()
+        )
+        x = [0.0] * 10
+        y = [0.0] * 10
+        x[7] = 1e9
+        y[7] = -1e9
+        traj = Trajectory(0.0, 0.1, x, y, [0.0] * 10, [0.0] * 10)
+        for start, stop in ((0, 10), (4, 8), (7, 8)):
+            with pytest.raises(DomainError, match=r"^u\[7\] must be finite, got nan$"):
                 cli.render_trajectory_csv(traj, config, start, stop)
 
     @pytest.mark.parametrize("failing", [1, 2])
