@@ -8,7 +8,7 @@ property-check harness over all of it.
 from ._backend import kernel_backend
 from .errors import DomainError, ParseError, SingularError, UnknownPropertyError
 from .linalg2 import (
-    DEFAULT_SINGULAR_EPS,
+    SINGULAR_EPS,
     Mat2,
     Vec2,
     determinant,

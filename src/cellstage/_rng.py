@@ -20,6 +20,15 @@ where mix64 is the SplitMix64 output function applied once to the seed and
 fnv1a64 is the 64-bit FNV-1a hash of the id's ASCII bytes. Distinct ids get
 decorrelated streams, so properties can be checked concurrently or in any
 order without changing any report.
+
+The state moves by the constant gamma = 0x9E3779B97F4A7C15 per draw, so the
+stream n draws in starts at
+
+    state_0 + n * gamma  mod 2^64
+
+with no draw made. A property whose samples each take k draws can thus be
+split into ranges of samples: the range from sample i starts at the
+stream's initial state plus i * k * gamma.
 """
 
 from __future__ import annotations
@@ -82,6 +91,10 @@ class SplitMix64:
         return high * (1.0 - self.next_float())
 
 
-def property_stream(seed: int, property_id: str) -> SplitMix64:
-    """The documented per-property stream: mix64(seed) XOR fnv1a64(id)."""
-    return SplitMix64(mix64(seed) ^ fnv1a64(property_id))
+def property_stream(seed: int, property_id: str, skip: int = 0) -> SplitMix64:
+    """The documented per-property stream, `skip` draws in.
+
+    Its initial state is mix64(seed) XOR fnv1a64(id); skipping adds
+    skip * gamma mod 2^64 to it, which no draw is made for.
+    """
+    return SplitMix64((mix64(seed) ^ fnv1a64(property_id)) + skip * _GOLDEN_GAMMA)

@@ -12,12 +12,18 @@ decimal separator regardless of locale; identical inputs give
 byte-identical output. `simulate` replaces --out only with a complete
 CSV; it renders the rows on one forked worker per usable CPU (one process
 for outputs under two 4,096-row chunks), and the bytes do not depend on
-how many. There is no environment-variable configuration.
+how many. `verify` forks once per run, one worker per usable CPU (at most
+one per sample), splits every property's samples among them and streams
+each report line as soon as its ranges are merged; its bytes do not
+depend on how many processes ran either. No flag or environment variable
+sets the number of processes, and there is no environment-variable
+configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import marshal
 import math
 import os
 import signal
@@ -84,16 +90,24 @@ def render_trajectory_csv(
     return CSV_HEADER + "\n" + body if start == 0 else body
 
 
-def _csv_parts(rows: int) -> int:
-    """How many processes render a CSV of `rows` rows.
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on, as a cap on forked workers.
 
-    One per CPU this process may run on, but at most one per full chunk, so
-    outputs under two chunks fork nothing. 1 off Linux: elsewhere os.fork,
-    os.sched_getaffinity or a file-to-file os.sendfile may be missing.
+    1 off Linux: elsewhere os.fork, os.sched_getaffinity or a file-to-file
+    os.sendfile may be missing.
     """
     if sys.platform != "linux":
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), rows // _CSV_CHUNK_ROWS))
+    return len(os.sched_getaffinity(0))
+
+
+def _csv_parts(rows: int) -> int:
+    """How many processes render a CSV of `rows` rows.
+
+    One per usable CPU, but at most one per full chunk, so outputs under
+    two chunks fork nothing.
+    """
+    return max(1, min(_usable_cpus(), rows // _CSV_CHUNK_ROWS))
 
 
 def _render_rows(handle, traj: Trajectory, config: ScenarioConfig, start, stop):
@@ -198,13 +212,98 @@ def cmd_transform(config: ScenarioConfig, x: float, y: float) -> int:
     return EXIT_OK
 
 
+def _verify_workers(samples: int) -> int:
+    """How many processes split each property's samples: one per usable
+    CPU, but at most one per sample."""
+    return min(_usable_cpus(), samples)
+
+
+def _fork_scanner(seed: int, start: int, stop: int):
+    """Fork a process that scans samples start..stop-1 of every property.
+
+    It writes one marshal record per property, in registry order, to a
+    pipe. Returns [pid, pipe reader, start, stop]; pid and the reader are
+    None if no process could be forked. The child leaves only through
+    os._exit, with status 0 once every record is written.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return [None, None, start, stop]
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                for property_id in propcheck.PROPERTIES:
+                    marshal.dump(propcheck._scan(property_id, seed, start, stop), pipe)
+                    # Each record as it is made: the parent prints as it merges.
+                    pipe.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return [pid, open(read_fd, "rb"), start, stop]
+
+
+def _scanned_share(worker, property_id: str, seed: int):
+    """The worker's record for property_id, or its range scanned here.
+
+    A worker that was not forked, died or sent a truncated record has its
+    range scanned here, for this and every later property, so the record
+    is the one a single process makes.
+    """
+    pipe, start, stop = worker[1:]
+    if pipe is not None:
+        try:
+            return marshal.load(pipe)
+        except EOFError:
+            pipe.close()
+            worker[1] = None
+    return propcheck._scan(property_id, seed, start, stop)
+
+
 def cmd_verify(samples: int, seed: int) -> int:
-    """Stream one report line (plus counterexample on failure) per property."""
+    """Stream one report line (plus counterexample on failure) per property.
+
+    Each property's samples are split into _verify_workers(samples)
+    contiguous ranges. This process scans the first; one worker, forked
+    once per run, scans each other range of every property. Each line is
+    printed as soon as its ranges are merged, and the bytes do not depend
+    on the number of ranges. On any exception the workers are killed and
+    reaped; a normal return has reaped them too.
+    """
+    propcheck._check_run_args(samples, seed)
+    parts = _verify_workers(samples)
+    bounds = [samples * i // parts for i in range(parts + 1)]
+    workers = []
     all_passed = True
-    for property_id in propcheck.PROPERTIES:
-        report = propcheck.check_theorem(property_id, samples=samples, seed=seed)
-        print(propcheck.format_report(report))
-        all_passed = all_passed and report.passed
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            workers.append(_fork_scanner(seed, start, stop))
+        for property_id in propcheck.PROPERTIES:
+            shares = [propcheck._scan(property_id, seed, 0, bounds[1])]
+            shares += [_scanned_share(w, property_id, seed) for w in workers]
+            report = propcheck._report(property_id, samples, seed, shares)
+            print(propcheck.format_report(report))
+            all_passed = all_passed and report.passed
+        for worker in workers:
+            if worker[0] is not None:
+                os.waitpid(worker[0], 0)
+                worker[0] = None
+    except BaseException:
+        for pid, *_ in workers:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        raise
+    finally:
+        for _, pipe, *_ in workers:
+            if pipe is not None:
+                pipe.close()
     return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
 
 

@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class SingularError(ArithmeticError):
-    """A matrix is numerically singular: |det| below linalg2.DEFAULT_SINGULAR_EPS."""
+    """A matrix is numerically singular: |det| below linalg2.SINGULAR_EPS."""
 
 
 class ParseError(ValueError):

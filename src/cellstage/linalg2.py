@@ -15,7 +15,7 @@ from .errors import DomainError, SingularError
 #: Absolute threshold on |det| below which inverse2 treats a matrix as
 #: singular. Calibration scales are near unity in practice, so an absolute
 #: test is adequate.
-DEFAULT_SINGULAR_EPS = 1e-12
+SINGULAR_EPS = 1e-12
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -109,11 +109,11 @@ def determinant(m: Mat2) -> float:
 def inverse2(m: Mat2) -> Mat2:
     """Closed-form adjugate/determinant inverse.
 
-    Raises SingularError when |det| < DEFAULT_SINGULAR_EPS.
+    Raises SingularError when |det| < SINGULAR_EPS.
     """
     det = determinant(m)
-    if abs(det) < DEFAULT_SINGULAR_EPS:
+    if abs(det) < SINGULAR_EPS:
         raise SingularError(
-            f"matrix is singular within eps={DEFAULT_SINGULAR_EPS!r}: det={det!r}"
+            f"matrix is singular within eps={SINGULAR_EPS!r}: det={det!r}"
         )
     return Mat2(m.a22 / det, -m.a12 / det, -m.a21 / det, m.a11 / det)

@@ -6,7 +6,10 @@ route (a raw scalar formula, a closed-form oracle, or an exact identity),
 and reports the worst normalized violation seen. Checks are deterministic:
 the generator is the documented SplitMix64 scheme in `_rng`, with one
 decorrelated stream per property id, so results are independent of check
-order and of any concurrency.
+order and of any concurrency. Each property declares how many draws a
+sample takes, so its samples can also be split into ranges that start
+anywhere in its stream and are scanned apart; merging the ranges' worst
+samples gives the report one scan gives.
 
 Report wire format (one report per line, fixed field order):
 
@@ -505,31 +508,90 @@ def _check_integrator_order(rng: SplitMix64):
 
 _Evaluator = Callable[[SplitMix64], tuple[float, dict]]
 
-#: Registry: property id -> (tolerance, evaluator). Order is the report order.
-PROPERTIES: dict[str, tuple[float, _Evaluator]] = {
-    "THM1_CAMERA_STAGE": (1e-12, _check_camera_stage),
-    "THM2_IMAGE_CAMERA": (1e-12, _check_image_camera),
-    "THM3_IMAGE_STAGE": (1e-12, _check_image_stage),
-    "THM4_HOMOG_SOLUTION": (1e-9, _check_homogeneous_solution),
-    "THM5_IMAGE_DYNAMICS": (1e-9, _check_image_dynamics),
-    "LINALG_INVERSE_IDENTITY": (1e-12, _check_inverse_identity),
-    "LINALG_DET_PRODUCT": (1e-12, _check_det_product),
-    "LINALG_MATVEC_LINEARITY": (1e-12, _check_matvec_linearity),
-    "FRAMES_FACTORIZATION": (1e-12, _check_factorization),
-    "FRAMES_DET_SCALE": (1e-12, _check_det_scale),
-    "FRAMES_ROTATION_INVERSE": (1e-12, _check_rotation_inverse),
-    "FRAMES_ROUND_TRIP": (1e-12, _check_round_trip),
-    "THM4_DERIVATIVE_FD": (5e-7, _check_derivative_fd),
-    "THM4_CONSTANT_INPUT_REDUCTION": (1e-15, _check_constant_input_reduction),
-    "INTEGRATOR_VS_ANALYTIC": (1e-6, _check_integrator_vs_analytic),
-    "INTEGRATOR_ORDER": (0.0, _check_integrator_order),
+#: Registry: property id -> (tolerance, draws, evaluator). Order is the
+#: report order. draws is the number of SplitMix64 outputs the evaluator
+#: takes per sample, so sample i starts i * draws into the stream.
+PROPERTIES: dict[str, tuple[float, int, _Evaluator]] = {
+    "THM1_CAMERA_STAGE": (1e-12, 7, _check_camera_stage),
+    "THM2_IMAGE_CAMERA": (1e-12, 7, _check_image_camera),
+    "THM3_IMAGE_STAGE": (1e-12, 7, _check_image_stage),
+    "THM4_HOMOG_SOLUTION": (1e-9, 7, _check_homogeneous_solution),
+    "THM5_IMAGE_DYNAMICS": (1e-9, 14, _check_image_dynamics),
+    "LINALG_INVERSE_IDENTITY": (1e-12, 8, _check_inverse_identity),
+    "LINALG_DET_PRODUCT": (1e-12, 9, _check_det_product),
+    "LINALG_MATVEC_LINEARITY": (1e-12, 11, _check_matvec_linearity),
+    "FRAMES_FACTORIZATION": (1e-12, 5, _check_factorization),
+    "FRAMES_DET_SCALE": (1e-12, 5, _check_det_scale),
+    "FRAMES_ROTATION_INVERSE": (1e-12, 1, _check_rotation_inverse),
+    "FRAMES_ROUND_TRIP": (1e-12, 7, _check_round_trip),
+    "THM4_DERIVATIVE_FD": (5e-7, 8, _check_derivative_fd),
+    "THM4_CONSTANT_INPUT_REDUCTION": (1e-15, 8, _check_constant_input_reduction),
+    "INTEGRATOR_VS_ANALYTIC": (1e-6, 11, _check_integrator_vs_analytic),
+    "INTEGRATOR_ORDER": (0.0, 7, _check_integrator_order),
 }
+
+
+def _check_run_args(samples: int, seed: int) -> None:
+    """Raise DomainError for samples < 1 or a seed outside [0, 2^64)."""
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples!r}")
+    if not 0 <= seed <= _MAX_SEED:
+        raise DomainError(f"seed must be in [0, 2^64), got {seed!r}")
+
+
+def _scan(property_id: str, seed: int, start: int, stop: int):
+    """Evaluate samples start..stop-1 (start < stop) of a registered property.
+
+    Returns (max_violation, index, inputs) of the worst sample: the first
+    unjudged one, which ends the scan, or else the first with the largest
+    violation. Sample i draws from the property's stream i * draws in, so
+    a range gives the same record whichever process scans it.
+    """
+    _, draws, evaluator = PROPERTIES[property_id]
+    rng = property_stream(seed, property_id, start * draws)
+    worst = None
+    for index in range(start, stop):
+        try:
+            violation, inputs = evaluator(rng)
+        except Exception as exc:
+            violation, inputs = math.nan, {"error": type(exc).__name__}
+        unjudged = math.isnan(violation)
+        if unjudged or worst is None or violation > worst[0]:
+            worst = (violation, index, inputs)
+        if unjudged:
+            break
+    return worst
+
+
+def _report(property_id: str, samples: int, seed: int, shares) -> PropertyReport:
+    """Merge the _scan records of consecutive ranges covering all samples.
+
+    The first range holding an unjudged sample wins; otherwise the largest
+    violation does, ties going to the lowest index. That is the record one
+    scan of every sample gives. Then the property's tolerance judges it.
+    """
+    worst = shares[0]
+    for share in shares[1:]:
+        if math.isnan(worst[0]):
+            break
+        if math.isnan(share[0]) or share[0] > worst[0]:
+            worst = share
+    max_violation, index, inputs = worst
+    tolerance = PROPERTIES[property_id][0]
+    if max_violation <= tolerance:
+        return PropertyReport(
+            property_id, samples, max_violation, tolerance, "pass", seed
+        )
+    counterexample = (("sample_index", index),) + tuple(inputs.items())
+    return PropertyReport(
+        property_id, samples, max_violation, tolerance, "fail", seed, counterexample
+    )
 
 
 def check_theorem(
     property_id: str, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
 ) -> PropertyReport:
-    """Run one registered property over `samples` seeded draws.
+    """Run one registered property over `samples` seeded draws, in process.
 
     Deterministic in (property_id, samples, seed). A sample whose
     violation is NaN, or whose evaluator raises, cannot be judged: the
@@ -541,37 +603,8 @@ def check_theorem(
     """
     if property_id not in PROPERTIES:
         raise UnknownPropertyError(f"unknown property id {property_id!r}")
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples!r}")
-    if not 0 <= seed <= _MAX_SEED:
-        raise DomainError(f"seed must be in [0, 2^64), got {seed!r}")
-    tolerance, evaluator = PROPERTIES[property_id]
-    rng = property_stream(seed, property_id)
-    max_violation = 0.0
-    worst_inputs: dict | None = None
-    worst_index = 0
-    for index in range(samples):
-        try:
-            violation, inputs = evaluator(rng)
-        except Exception as exc:
-            violation, inputs = math.nan, {"error": type(exc).__name__}
-        unjudged = math.isnan(violation)
-        if unjudged or violation > max_violation or worst_inputs is None:
-            max_violation = violation
-            worst_inputs = inputs
-            worst_index = index
-        if unjudged:
-            break
-    if max_violation <= tolerance:
-        return PropertyReport(
-            property_id, samples, max_violation, tolerance, "pass", seed
-        )
-    counterexample = (("sample_index", worst_index),) + tuple(
-        (key, value) for key, value in worst_inputs.items()
-    )
-    return PropertyReport(
-        property_id, samples, max_violation, tolerance, "fail", seed, counterexample
-    )
+    _check_run_args(samples, seed)
+    return _report(property_id, samples, seed, [_scan(property_id, seed, 0, samples)])
 
 
 def run_all(

@@ -1,3 +1,4 @@
+import marshal
 import math
 import os
 import resource
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from cellstage import cli, frames, propcheck
+from cellstage._rng import property_stream
 from cellstage.dynamics import MAX_STEPS, Trajectory, simulate
 from cellstage.errors import DomainError
 from cellstage.frames import StagePoint, stage_to_image
@@ -519,7 +521,7 @@ class TestVerify:
         def raises(rng):
             raise OverflowError("math range error")
 
-        monkeypatch.setitem(propcheck.PROPERTIES, "FAKE_RAISES", (1e-12, raises))
+        monkeypatch.setitem(propcheck.PROPERTIES, "FAKE_RAISES", (1e-12, 0, raises))
         assert cli.main(["verify", "--samples", "2", "--seed", "42"]) == 1
         out = capsys.readouterr().out
         assert "FAKE_RAISES fail 2 nan 9.9999999999999998e-13 42\n" in out
@@ -538,6 +540,139 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "THM1_CAMERA_STAGE fail" in out
         assert "counterexample sample_index=" in out
+
+
+class TestForkedVerify:
+    """`verify` splits every property's samples among forked workers;
+    nothing may show it."""
+
+    @pytest.fixture(autouse=True)
+    def every_worker_reaped(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def verify(samples, seed, workers, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_verify_workers", lambda n: min(workers, n))
+        code = cli.main(["verify", "--samples", str(samples), "--seed", str(seed)])
+        return code, capsys.readouterr().out
+
+    @staticmethod
+    def only_fake_property(monkeypatch, tolerance, outcomes, samples, seed):
+        """Make FAKE the one registered property.
+
+        Sample i takes one draw, which names it, and gives outcomes.get(i,
+        0.0), a violation or an exception type it raises, with the inputs
+        i and i / 3. A worker whose stream did not start at its range's
+        first sample raises KeyError.
+        """
+        stream = property_stream(seed, "FAKE")
+        index_of = {stream.next_u64(): i for i in range(samples)}
+
+        def evaluate(rng):
+            i = index_of[rng.next_u64()]
+            outcome = outcomes.get(i, 0.0)
+            if isinstance(outcome, type):
+                raise outcome("boom")
+            return outcome, {"i": i, "third": i / 3}
+
+        monkeypatch.setattr(propcheck, "PROPERTIES", {"FAKE": (tolerance, 1, evaluate)})
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("seed, samples", [(7, 40), (42, 1000)])
+    def test_fixtures_do_not_depend_on_workers(
+        self, seed, samples, workers, monkeypatch, capsys
+    ):
+        code, out = self.verify(samples, seed, workers, monkeypatch, capsys)
+        assert code == 0
+        assert out == (DATA_DIR / f"verify_seed{seed}_samples{samples}.txt").read_text()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "tolerance, outcomes, report",
+        # Nine samples; three processes scan ranges 0-2, 3-5 and 6-8.
+        [
+            # A NaN in range 2 beats a larger violation in range 1.
+            (10.0, {4: 50.0, 7: math.nan}, "FAKE fail 9 nan 10 42\n"
+             "counterexample sample_index=7 i=7 third=2.3333333333333335\n"),
+            # An exception in range 1 comes before a NaN in range 2.
+            (1.0, {4: ValueError, 7: math.nan}, "FAKE fail 9 nan 1 42\n"
+             "counterexample sample_index=4 error=ValueError\n"),
+            # Equal violations in two ranges: the lower index.
+            (1.0, {4: 5.0, 7: 5.0}, "FAKE fail 9 5 1 42\n"
+             "counterexample sample_index=4 i=4 third=1.3333333333333333\n"),
+        ],
+    )
+    def test_merge_gives_the_single_scan_sample(
+        self, tolerance, outcomes, report, workers, monkeypatch, capsys
+    ):
+        self.only_fake_property(monkeypatch, tolerance, outcomes, 9, 42)
+        assert self.verify(9, 42, workers, monkeypatch, capsys) == (1, report)
+
+    def test_fork_failure_scans_every_range_here(self, monkeypatch, capsys):
+        attempts = []
+
+        def no_fork():
+            attempts.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        code, out = self.verify(40, 7, 3, monkeypatch, capsys)
+        assert attempts == [1, 1]
+        assert code == 0
+        assert out == (DATA_DIR / "verify_seed7_samples40.txt").read_text()
+
+    @pytest.mark.parametrize("dies_at", ["THM1_CAMERA_STAGE", "INTEGRATOR_VS_ANALYTIC"])
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_failed_worker_range_is_scanned_here(
+        self, dies_at, truncated, monkeypatch, capsys
+    ):
+        # The worker of samples 26..39 exits with status 3 at dies_at's
+        # record, after writing half of it or none of it.
+        dump = marshal.dump
+        records_before = list(propcheck.PROPERTIES).index(dies_at)
+        sent = []
+
+        def dying_dump(record, pipe):
+            if record[1] >= 26 and len(sent) == records_before:
+                data = marshal.dumps(record)
+                pipe.write(data[: len(data) // 2] if truncated else b"")
+                pipe.flush()
+                os._exit(3)
+            sent.append(record)
+            dump(record, pipe)
+
+        monkeypatch.setattr(marshal, "dump", dying_dump)
+        code, out = self.verify(40, 7, 3, monkeypatch, capsys)
+        assert code == 0
+        assert out == (DATA_DIR / "verify_seed7_samples40.txt").read_text()
+
+    def test_closed_stdout_kills_and_reaps_every_worker(self, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        forked = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(cli, "_verify_workers", lambda n: 3)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            cli.cmd_verify(40, 7)
+        assert len(forked) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestUsage:

@@ -64,8 +64,10 @@ class TestCheckTheorem:
         assert a.max_violation != b.max_violation
 
     def test_tolerance_comes_from_registry(self, monkeypatch):
-        _, evaluator = PROPERTIES["THM3_IMAGE_STAGE"]
-        monkeypatch.setitem(propcheck.PROPERTIES, "THM3_IMAGE_STAGE", (1e-30, evaluator))
+        _, draws, evaluator = PROPERTIES["THM3_IMAGE_STAGE"]
+        monkeypatch.setitem(
+            propcheck.PROPERTIES, "THM3_IMAGE_STAGE", (1e-30, draws, evaluator)
+        )
         report = check_theorem("THM3_IMAGE_STAGE", samples=FAST, seed=42)
         assert report.tolerance == 1e-30
         assert report.status == "fail"
@@ -183,7 +185,7 @@ class TestUnjudgedSamples:
 
     def test_nan_after_first_sample_fails(self, monkeypatch):
         evaluate, calls = self.fake(5, lambda draw: (math.nan, {"draw": draw}))
-        monkeypatch.setitem(PROPERTIES, "FAKE_NAN", (1e-12, evaluate))
+        monkeypatch.setitem(PROPERTIES, "FAKE_NAN", (1e-12, 1, evaluate))
         report = check_theorem("FAKE_NAN", samples=20, seed=42)
         assert report.status == "fail"
         assert math.isnan(report.max_violation)
@@ -194,14 +196,14 @@ class TestUnjudgedSamples:
 
     def test_nan_at_first_sample_fails(self, monkeypatch):
         evaluate, _ = self.fake(0, lambda draw: (math.nan, {"draw": draw}))
-        monkeypatch.setitem(PROPERTIES, "FAKE_NAN", (1e-12, evaluate))
+        monkeypatch.setitem(PROPERTIES, "FAKE_NAN", (1e-12, 1, evaluate))
         report = check_theorem("FAKE_NAN", samples=3, seed=42)
         assert report.status == "fail"
         assert report.counterexample[0] == ("sample_index", 0)
 
     def test_nan_after_a_larger_violation_still_fails(self, monkeypatch):
         evaluate, _ = self.fake(2, lambda draw: (math.nan, {}), others=1.0)
-        monkeypatch.setitem(PROPERTIES, "FAKE_NAN", (10.0, evaluate))
+        monkeypatch.setitem(PROPERTIES, "FAKE_NAN", (10.0, 1, evaluate))
         report = check_theorem("FAKE_NAN", samples=5, seed=42)
         assert report.status == "fail"
         assert report.counterexample == (("sample_index", 2),)
@@ -211,7 +213,7 @@ class TestUnjudgedSamples:
             raise OverflowError("math range error")
 
         evaluate, calls = self.fake(3, overflow)
-        monkeypatch.setitem(PROPERTIES, "FAKE_RAISES", (1e-12, evaluate))
+        monkeypatch.setitem(PROPERTIES, "FAKE_RAISES", (1e-12, 1, evaluate))
         report = check_theorem("FAKE_RAISES", samples=10, seed=42)
         assert report.status == "fail"
         assert math.isnan(report.max_violation)
@@ -222,31 +224,9 @@ class TestUnjudgedSamples:
         )
 
 
-#: SplitMix64 outputs each evaluator takes per sample. A worker can start
-#: sample i of a property at its stream's state plus i times this count.
-DRAWS_PER_SAMPLE = {
-    "THM1_CAMERA_STAGE": 7,
-    "THM2_IMAGE_CAMERA": 7,
-    "THM3_IMAGE_STAGE": 7,
-    "THM4_HOMOG_SOLUTION": 7,
-    "THM5_IMAGE_DYNAMICS": 14,
-    "LINALG_INVERSE_IDENTITY": 8,
-    "LINALG_DET_PRODUCT": 9,
-    "LINALG_MATVEC_LINEARITY": 11,
-    "FRAMES_FACTORIZATION": 5,
-    "FRAMES_DET_SCALE": 5,
-    "FRAMES_ROTATION_INVERSE": 1,
-    "FRAMES_ROUND_TRIP": 7,
-    "THM4_DERIVATIVE_FD": 8,
-    "THM4_CONSTANT_INPUT_REDUCTION": 8,
-    "INTEGRATOR_VS_ANALYTIC": 11,
-    "INTEGRATOR_ORDER": 7,
-}
-
-
 class TestDrawsPerSample:
-    def test_table_covers_the_registry(self):
-        assert list(DRAWS_PER_SAMPLE) == list(PROPERTIES)
+    """The registry's draws per sample is what each evaluator takes: a
+    worker starts sample i of a property that many draws times i in."""
 
     @pytest.mark.parametrize("property_id", list(PROPERTIES))
     def test_each_sample_takes_a_fixed_number_of_draws(self, property_id, monkeypatch):
@@ -259,7 +239,7 @@ class TestDrawsPerSample:
             return next_u64(self)
 
         monkeypatch.setattr(SplitMix64, "next_u64", counting)
-        tolerance, evaluator = PROPERTIES[property_id]
+        tolerance, declared, evaluator = PROPERTIES[property_id]
         per_sample = []
 
         def counted(rng):
@@ -268,9 +248,9 @@ class TestDrawsPerSample:
             per_sample.append(draws - before)
             return result
 
-        monkeypatch.setitem(PROPERTIES, property_id, (tolerance, counted))
+        monkeypatch.setitem(PROPERTIES, property_id, (tolerance, declared, counted))
         assert check_theorem(property_id, samples=30, seed=42).passed
-        assert per_sample == [DRAWS_PER_SAMPLE[property_id]] * 30
+        assert per_sample == [declared] * 30
 
 
 class TestSeedRange:

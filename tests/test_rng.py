@@ -101,3 +101,17 @@ def test_uniform_open_low_excludes_zero():
 def test_masking_keeps_64_bits(seed):
     gen = SplitMix64(seed)
     assert all(0 <= gen.next_u64() < 2**64 for _ in range(100))
+
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000, 2**64 + 5])
+def test_skipping_n_draws_jumps_the_state(n):
+    # The stream starts near 0.2 * 2^64 and gamma is about 0.62 * 2^64, so
+    # every jump from n = 2 on wraps past 2^64; n = 2^64 + 5 is the jump
+    # of n = 5, since 2^64 * gamma is 0 mod 2^64.
+    seed, property_id = 2**64 - 1, "INTEGRATOR_VS_ANALYTIC"
+    walked = property_stream(seed, property_id)
+    for _ in range(n % 2**64):
+        walked.next_u64()
+    jumped = property_stream(seed, property_id, n)
+    assert [jumped.next_u64() for _ in range(4)] == [walked.next_u64() for _ in range(4)]
