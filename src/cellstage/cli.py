@@ -10,14 +10,16 @@ output was written (128 + SIGPIPE, as a shell reports it; nothing is
 printed). All numbers are printed with 17 significant digits and a '.'
 decimal separator regardless of locale; identical inputs give
 byte-identical output. `simulate` replaces --out only with a complete
-CSV; it renders the rows on one forked worker per usable CPU (one process
-for outputs under two 4,096-row chunks), and the bytes do not depend on
-how many. `verify` forks once per run, one worker per usable CPU (at most
-one per sample), splits every property's samples among them and streams
-each report line as soon as its ranges are merged; its bytes do not
-depend on how many processes ran either. No flag or environment variable
-sets the number of processes, and there is no environment-variable
-configuration.
+CSV. It streams the path in windows of at most 65,536 rows, so its memory
+does not grow with the horizon: it integrates each window from the last
+row of the one before while forked workers, at most one per usable CPU,
+render the windows already integrated (one process for outputs under two
+4,096-row chunks). `verify` forks once per run, one worker per usable CPU
+(at most one per sample), splits every property's samples among them and
+streams each report line as soon as its ranges are merged. Both fork
+through one helper, `_Workers`, and neither's bytes depend on how many
+processes ran. No flag or environment variable sets the number of
+processes, and there is no environment-variable configuration.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ import math
 import os
 import signal
 import sys
+from collections import deque
 from itertools import chain
 from pathlib import Path
 
 from . import propcheck
-from .dynamics import Trajectory, simulate
+from .dynamics import Trajectory, _path, _row_count
 from .errors import DomainError, ParseError
 from .frames import (
     StagePoint,
@@ -60,8 +63,16 @@ def _load_config(path: str) -> ScenarioConfig:
 #: One CSV row: every field with 17 significant digits.
 _CSV_ROW = ",".join(["%.17g"] * 9) + "\n"
 
-#: Rows rendered and written per chunk by cmd_simulate.
+#: Rows rendered and written at a time.
+_RENDER_ROWS = 1024
+
+#: Fewest rows worth a process of their own: outputs under two of these
+#: chunks fork nothing.
 _CSV_CHUNK_ROWS = 4096
+
+#: Most rows in one window of `cellstage simulate`, the rows held in memory
+#: at a time.
+_WINDOW_ROWS = 65_536
 
 
 def render_trajectory_csv(
@@ -69,9 +80,10 @@ def render_trajectory_csv(
 ) -> str:
     """CSV text with stage, camera, and image coordinates per sample.
 
-    Renders rows start..stop-1 (all rows by default); the header line leads
-    when start is 0. Raises DomainError if a camera or image coordinate is
-    not finite, naming the first such row of the trajectory.
+    Renders samples start..stop-1 (all by default); the header line leads
+    when the first of them is row 0 of the path. Raises DomainError if a
+    camera or image coordinate is not finite, naming the first such row of
+    the path.
     """
     rows = slice(start, stop)
     x = traj.x[rows]
@@ -80,14 +92,14 @@ def render_trajectory_csv(
     u, v = stage_to_image_columns(x, y, config.calibration)
     if not all(map(math.isfinite, chain(xc, yc, u, v))):
         # Row by row, so the error names the first bad row whatever split
-        # of the rows into chunks or ranges led here.
-        for row, values in enumerate(zip(xc, yc, u, v), start):
+        # of the rows into chunks or windows led here.
+        for row, values in enumerate(zip(xc, yc, u, v), traj.first + start):
             for name, value in zip(("xc", "yc", "u", "v"), values):
                 _require_finite(f"{name}[{row}]", value)
     t = traj.times(start, stop)
     columns = (t, x, y, traj.xdot[rows], traj.ydot[rows], xc, yc, u, v)
     body = "".join(map(_CSV_ROW.__mod__, zip(*columns)))
-    return CSV_HEADER + "\n" + body if start == 0 else body
+    return CSV_HEADER + "\n" + body if traj.first + start == 0 else body
 
 
 def _usable_cpus() -> int:
@@ -101,8 +113,53 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+class _Workers:
+    """Forked workers, each running one call; use it as a context manager.
+
+    A worker leaves only through os._exit and hands its result back through
+    a descriptor its caller opened. On an exception in the with-block every
+    live worker is killed; on leaving it, every worker is reaped. Each
+    caller keeps its own cap and its own fallback for a failed worker.
+    """
+
+    def __init__(self):
+        self._pids = []
+
+    def __enter__(self):
+        return self
+
+    def spawn(self, fn, *args) -> int | None:
+        """Fork a worker that calls fn(*args), with exit status 0 once it
+        returns. Returns its pid, or None if no process could be forked."""
+        try:
+            pid = os.fork()
+        except OSError:
+            return None
+        if pid == 0:
+            status = 1
+            try:
+                fn(*args)
+                status = 0
+            finally:
+                os._exit(status)
+        self._pids.append(pid)
+        return pid
+
+    def wait(self, pid: int) -> bool:
+        """Reap worker pid; True if its call returned."""
+        status = os.waitpid(pid, 0)[1]
+        self._pids.remove(pid)
+        return status == 0
+
+    def __exit__(self, exc_type, exc, tb):
+        for pid in self._pids:
+            if exc_type is not None:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _csv_parts(rows: int) -> int:
-    """How many processes render a CSV of `rows` rows.
+    """The fewest windows a CSV of `rows` rows is split into.
 
     One per usable CPU, but at most one per full chunk, so outputs under
     two chunks fork nothing.
@@ -110,37 +167,26 @@ def _csv_parts(rows: int) -> int:
     return max(1, min(_usable_cpus(), rows // _CSV_CHUNK_ROWS))
 
 
-def _render_rows(handle, traj: Trajectory, config: ScenarioConfig, start, stop):
-    """Write rows start..stop-1 to handle, one chunk at a time."""
-    for first in range(start, stop, _CSV_CHUNK_ROWS):
-        last = min(first + _CSV_CHUNK_ROWS, stop)
-        handle.write(render_trajectory_csv(traj, config, first, last))
+def _render_window(handle, window: Trajectory, config: ScenarioConfig, start: int):
+    """Write the window's rows from row start of the path on to handle,
+    _RENDER_ROWS at a time."""
+    for first in range(start - window.first, len(window), _RENDER_ROWS):
+        handle.write(render_trajectory_csv(window, config, first, first + _RENDER_ROWS))
 
 
-def _fork_worker(traj: Trajectory, config: ScenarioConfig, tmp_path, start, stop):
-    """Fork a process that renders rows start..stop-1 into a part file.
+def _render_part(part: int, window: Trajectory, config: ScenarioConfig, start: int):
+    """_render_window into the file open as descriptor part."""
+    with open(part, "w", newline="\n", closefd=False) as handle:
+        _render_window(handle, window, config, start)
 
-    The part file is created beside tmp_path and unlinked at once, so only
-    its descriptor names it. Returns [pid, part fd, start, stop]; pid is
-    None if no process could be forked. The child leaves only through
-    os._exit, with status 0 once its part is complete.
-    """
+
+def _open_part(tmp_path: str, start: int) -> int:
+    """A new file beside tmp_path, unlinked at once so only its descriptor
+    names it."""
     part_path = f"{tmp_path}.{start}.part"
     part = os.open(part_path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
     os.unlink(part_path)
-    try:
-        pid = os.fork()
-    except OSError:
-        return [None, part, start, stop]
-    if pid == 0:
-        status = 1
-        try:
-            with open(part, "w", newline="\n") as handle:
-                _render_rows(handle, traj, config, start, stop)
-            status = 0
-        finally:
-            os._exit(status)
-    return [pid, part, start, stop]
+    return part
 
 
 def _append_part(fd: int, part: int) -> None:
@@ -151,55 +197,116 @@ def _append_part(fd: int, part: int) -> None:
         offset += os.sendfile(fd, part, offset, size - offset)
 
 
-def _write_csv(traj: Trajectory, config: ScenarioConfig, out_path: str) -> None:
-    """Render the CSV into a temporary file beside out_path, then rename it.
+#: The pid slot of a part this process rendered itself; os.fork never gives
+#: a parent pid 0.
+_RENDERED_HERE = 0
 
-    The rows are split into _csv_parts(len(traj)) contiguous, equal ranges.
-    This process renders the first; a forked worker renders each other one
-    into its part file, which is appended in order once the worker exits.
-    The bytes do not depend on the number of ranges. A range whose worker
-    failed is rendered here, so an error is the one a single process
-    raises. On any failure the workers are killed and reaped, the
-    temporary file is removed and out_path is untouched.
-    """
-    directory, name = os.path.split(os.path.abspath(out_path))
-    tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    parts = _csv_parts(len(traj))
-    bounds = [len(traj) * i // parts for i in range(parts + 1)]
-    workers = []
-    try:
-        with open(fd, "w", newline="\n") as handle:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                workers.append(_fork_worker(traj, config, tmp_path, start, stop))
-            _render_rows(handle, traj, config, 0, bounds[1])
-            for worker in workers:
-                pid, part, start, stop = worker
-                status = 1 if pid is None else os.waitpid(pid, 0)[1]
-                worker[0] = None
-                if status == 0:
+
+def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, tmp_path: str):
+    """Integrate and render the path in windows; see cmd_simulate."""
+    m, init, w, dt = config.masses, config.initial, config.wrench, config.dt
+    windows = max(_csv_parts(rows), -(-rows // _WINDOW_ROWS))
+    bounds = [rows * i // windows for i in range(windows + 1)]
+    cpus = _usable_cpus()
+    state = (init.x, init.y, init.xdot, init.ydot)
+    # [pid, part, start, stop, state at row start - 1] of each window being
+    # rendered into a part, in row order.
+    shares = deque()
+    path_error = row_error = None
+
+    def window_at(state, start, stop):
+        first = max(start - 1, 0)
+        return Trajectory(init.t, dt, *_path(m, w, dt, state, first, stop), first=first)
+
+    def append_oldest():
+        nonlocal row_error
+        pid, part, start, stop, start_state = shares[0]
+        rendered = pid == _RENDERED_HERE or (pid is not None and workers.wait(pid))
+        shares.popleft()
+        try:
+            if path_error is None and row_error is None:
+                if rendered:
                     handle.flush()
                     _append_part(fd, part)
                 else:
-                    _render_rows(handle, traj, config, start, stop)
-        os.replace(tmp_path, out_path)
-    except BaseException:
-        for pid, *_ in workers:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        os.unlink(tmp_path)
-        raise
-    finally:
-        for _, part, *_ in workers:
+                    window = window_at(start_state, start, stop)
+                    _render_window(handle, window, config, start)
+        except DomainError as exc:
+            row_error = exc
+        finally:
             os.close(part)
+
+    with _Workers() as workers:
+        try:
+            for start, stop in zip(bounds, bounds[1:]):
+                # Each window starts at the previous one's last row, so its
+                # time check covers the seam.
+                first = max(start - 1, 0)
+                columns = _path(m, w, dt, state, first, stop)
+                start_state, state = state, tuple(column[-1] for column in columns)
+                if path_error is None:
+                    try:
+                        window = Trajectory(init.t, dt, *columns, first=first)
+                    except DomainError as exc:
+                        path_error = exc
+                # This process holds one window at a time.
+                columns = None
+                if path_error is not None or row_error is not None:
+                    continue
+                if stop < rows:
+                    while len(shares) >= cpus:
+                        append_oldest()
+                    part = _open_part(tmp_path, start)
+                    shares.append([None, part, start, stop, start_state])
+                    shares[-1][0] = workers.spawn(_render_part, part, window, config, start)
+                elif shares:
+                    part = _open_part(tmp_path, start)
+                    shares.append([None, part, start, stop, start_state])
+                    try:
+                        _render_part(part, window, config, start)
+                        shares[-1][0] = _RENDERED_HERE
+                    except DomainError:
+                        pass  # rendered again, and raised, in its turn
+                else:
+                    _render_window(handle, window, config, start)
+                window = None
+            while shares:
+                append_oldest()
+        finally:
+            for _, part, *_ in shares:
+                os.close(part)
+    if path_error is not None or row_error is not None:
+        raise path_error or row_error
 
 
 def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
-    traj = simulate(
-        config.masses, config.initial, config.wrench, config.dt, config.t_end
-    )
-    _write_csv(traj, config, out_path)
+    """Write the path's CSV to out_path, streamed in windows of rows.
+
+    There are max(_csv_parts(rows), ceil(rows / _WINDOW_ROWS)) equal
+    windows. This process integrates each window from the previous one's
+    last row; a forked worker renders it into a part file, at most one live
+    worker per usable CPU, and this process renders the last window. The
+    parts are appended in order, so the bytes do not depend on the number
+    of windows. Only a window's start state is kept for it: a window whose
+    worker failed or could not be forked is integrated and rendered again
+    here. Errors come in the order one process meets them: a divergence
+    first, then a bad time or state column, then the first bad row, and
+    none is raised before the kernel has finished. The CSV goes to a
+    temporary file beside out_path that replaces it once complete; on any
+    failure the workers are killed and reaped, the temporary file is
+    removed and out_path is untouched.
+    """
+    rows = _row_count(config.initial, config.dt, config.t_end)
+    directory, name = os.path.split(os.path.abspath(out_path))
+    tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", newline="\n") as handle:
+            _write_windows(handle, fd, config, rows, tmp_path)
+        os.replace(tmp_path, out_path)
+    except BaseException:
+        os.unlink(tmp_path)
+        raise
     return EXIT_OK
 
 
@@ -218,35 +325,29 @@ def _verify_workers(samples: int) -> int:
     return min(_usable_cpus(), samples)
 
 
-def _fork_scanner(seed: int, start: int, stop: int):
-    """Fork a process that scans samples start..stop-1 of every property.
+def _scan_into(write_fd: int, seed: int, start: int, stop: int) -> None:
+    """Write one marshal record per property, in registry order, of samples
+    start..stop-1, to the pipe write_fd."""
+    with open(write_fd, "wb") as pipe:
+        for property_id in propcheck.PROPERTIES:
+            marshal.dump(propcheck._scan(property_id, seed, start, stop), pipe)
+            # Each record as it is made: the parent prints as it merges.
+            pipe.flush()
 
-    It writes one marshal record per property, in registry order, to a
-    pipe. Returns [pid, pipe reader, start, stop]; pid and the reader are
-    None if no process could be forked. The child leaves only through
-    os._exit, with status 0 once every record is written.
+
+def _fork_scanner(workers: _Workers, seed: int, start: int, stop: int):
+    """Fork a worker that scans samples start..stop-1 of every property.
+
+    Returns [pipe reader, start, stop]; the reader is None if no process
+    could be forked.
     """
     read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return [None, None, start, stop]
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                for property_id in propcheck.PROPERTIES:
-                    marshal.dump(propcheck._scan(property_id, seed, start, stop), pipe)
-                    # Each record as it is made: the parent prints as it merges.
-                    pipe.flush()
-            status = 0
-        finally:
-            os._exit(status)
+    pid = workers.spawn(_scan_into, write_fd, seed, start, stop)
     os.close(write_fd)
-    return [pid, open(read_fd, "rb"), start, stop]
+    if pid is None:
+        os.close(read_fd)
+        return [None, start, stop]
+    return [open(read_fd, "rb"), start, stop]
 
 
 def _scanned_share(worker, property_id: str, seed: int):
@@ -256,13 +357,13 @@ def _scanned_share(worker, property_id: str, seed: int):
     range scanned here, for this and every later property, so the record
     is the one a single process makes.
     """
-    pipe, start, stop = worker[1:]
+    pipe, start, stop = worker
     if pipe is not None:
         try:
             return marshal.load(pipe)
         except EOFError:
             pipe.close()
-            worker[1] = None
+            worker[0] = None
     return propcheck._scan(property_id, seed, start, stop)
 
 
@@ -279,31 +380,22 @@ def cmd_verify(samples: int, seed: int) -> int:
     propcheck._check_run_args(samples, seed)
     parts = _verify_workers(samples)
     bounds = [samples * i // parts for i in range(parts + 1)]
-    workers = []
+    shares = []
     all_passed = True
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            workers.append(_fork_scanner(seed, start, stop))
-        for property_id in propcheck.PROPERTIES:
-            shares = [propcheck._scan(property_id, seed, 0, bounds[1])]
-            shares += [_scanned_share(w, property_id, seed) for w in workers]
-            report = propcheck._report(property_id, samples, seed, shares)
-            print(propcheck.format_report(report))
-            all_passed = all_passed and report.passed
-        for worker in workers:
-            if worker[0] is not None:
-                os.waitpid(worker[0], 0)
-                worker[0] = None
-    except BaseException:
-        for pid, *_ in workers:
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        raise
-    finally:
-        for _, pipe, *_ in workers:
-            if pipe is not None:
-                pipe.close()
+    with _Workers() as workers:
+        try:
+            for start, stop in zip(bounds[1:-1], bounds[2:]):
+                shares.append(_fork_scanner(workers, seed, start, stop))
+            for property_id in propcheck.PROPERTIES:
+                records = [propcheck._scan(property_id, seed, 0, bounds[1])]
+                records += [_scanned_share(s, property_id, seed) for s in shares]
+                report = propcheck._report(property_id, samples, seed, records)
+                print(propcheck.format_report(report))
+                all_passed = all_passed and report.passed
+        finally:
+            for pipe, *_ in shares:
+                if pipe is not None:
+                    pipe.close()
     return EXIT_OK if all_passed else EXIT_PROPERTY_FAILURE
 
 

@@ -14,7 +14,10 @@ what makes the closed-form solutions below possible. `simulate` integrates
 the generic first-order system with classical fixed-step RK4 and returns a
 columnar `Trajectory`: the start time, the step, and the four state columns
 the kernel produced, with no per-sample objects unless a caller indexes or
-iterates it.
+iterates it. It is one window of the path: `_path` integrates any row range
+from the state of its first row, which is exact because an RK4 step depends
+only on (x, y, xdot, ydot), so `cellstage simulate` streams the same rows in
+windows.
 """
 
 from __future__ import annotations
@@ -41,10 +44,12 @@ from .linalg2 import (
 #: Masses below this are rejected so exp(-t/M) stays evaluable.
 MIN_MASS = 1e-12
 
-#: Hard cap on the number of fixed steps one simulate() call may take. The
-#: four state columns cost about 200 bytes per step in memory (a 1e6-step run
-#: peaks near 207 MB), so 10**7 steps needs about 2 GB, where 10**8 would
-#: need about 20 GB.
+#: Hard cap on the number of fixed steps of one simulate() call or one
+#: `cellstage simulate` run. Only the library still holds all four state
+#: columns, at about 200 bytes per step in memory, so 10**7 steps needs about
+#: 2 GB there. The CLI holds one window of rows at a time, so its memory does
+#: not grow with the horizon; at the cap its CSV takes about 1.9 GB of disk
+#: (about 187 bytes per row).
 MAX_STEPS = 10**7
 
 
@@ -125,15 +130,17 @@ class StageState:
 class Trajectory:
     """Uniformly sampled stage states, held as columns.
 
-    Sample i is at time t0 + i*dt with state (x[i], y[i], xdot[i], ydot[i]).
-    The columns are kept as given; a StageState is built only when a sample
-    is indexed or iterated. Every column value must be finite and the time
-    column must be strictly increasing.
+    Sample i is row first + i of the path, at time t0 + (first + i)*dt with
+    state (x[i], y[i], xdot[i], ydot[i]); first is 0 unless the trajectory
+    is a window of a longer path. The columns are kept as given; a
+    StageState is built only when a sample is indexed or iterated. Every
+    column value must be finite and the time column must be strictly
+    increasing.
     """
 
-    __slots__ = ("t0", "dt", "x", "y", "xdot", "ydot")
+    __slots__ = ("t0", "dt", "x", "y", "xdot", "ydot", "first")
 
-    def __init__(self, t0: float, dt: float, x, y, xdot, ydot):
+    def __init__(self, t0: float, dt: float, x, y, xdot, ydot, first: int = 0):
         _require_finite("t0", t0)
         _require_finite("dt", dt)
         n = len(x)
@@ -151,6 +158,7 @@ class Trajectory:
         self.y = y
         self.xdot = xdot
         self.ydot = ydot
+        self.first = first
         t = self.times()
         if not all(map(operator.lt, t, islice(t, 1, None))):
             i = next(i for i in range(n - 1) if not t[i] < t[i + 1])
@@ -159,10 +167,11 @@ class Trajectory:
             )
 
     def times(self, start: int = 0, stop: int | None = None) -> list[float]:
-        """The time column t0 + i*dt, for rows start..stop-1 (default: all)."""
+        """The time column, for samples start..stop-1 (default: all)."""
         t0 = self.t0
         dt = self.dt
-        return [t0 + i * dt for i in range(len(self.x))[start:stop]]
+        first = self.first
+        return [t0 + i * dt for i in range(first, first + len(self.x))[start:stop]]
 
     def __len__(self) -> int:
         return len(self.x)
@@ -172,9 +181,8 @@ class Trajectory:
 
     def __getitem__(self, index: int) -> StageState:
         i = range(len(self.x))[index]
-        return StageState(
-            self.t0 + i * self.dt, self.x[i], self.y[i], self.xdot[i], self.ydot[i]
-        )
+        t = self.t0 + (self.first + i) * self.dt
+        return StageState(t, self.x[i], self.y[i], self.xdot[i], self.ydot[i])
 
     @property
     def final(self) -> StageState:
@@ -325,15 +333,10 @@ def analytic_constant_input_acceleration(
     )
 
 
-def simulate(
-    m: MassParams, init: StageState, w: Wrench, dt: float, t_end: float
-) -> Trajectory:
-    """Integrate the equation of motion with classical fixed-step RK4.
+def _row_count(init: StageState, dt: float, t_end: float) -> int:
+    """Rows of the path from init to t_end: floor((t_end - init.t)/dt) + 1.
 
-    Takes floor((t_end - init.t)/dt) steps of exactly dt, so the trajectory
-    ends within dt of t_end. Timestamps are init.t + i*dt. Raises
-    DomainError on a bad step or horizon and OverflowError if the state
-    diverges past 1e100 or turns NaN.
+    Raises DomainError on a bad step or horizon, or above MAX_STEPS steps.
     """
     _require_finite("dt", dt)
     _require_finite("t_end", t_end)
@@ -348,21 +351,40 @@ def simulate(
         raise DomainError(
             f"horizon needs {span:.17g} steps, above the {MAX_STEPS} step cap"
         )
-    n_steps = int(math.floor(span))
+    return int(math.floor(span)) + 1
+
+
+def _path(m: MassParams, w: Wrench, dt: float, state, first: int, stop: int):
+    """The RK4 columns (x, y, xdot, ydot) of rows first..stop-1 of a path.
+
+    `state` is (x, y, xdot, ydot) at row first. Raises OverflowError if the
+    state diverges past 1e100 or turns NaN, naming the step of the whole
+    path, so every window of it gives the message one call would.
+    """
     net = w.net_input()
-    xs, ys, vxs, vys = _backend.rk4_stage_path(
-        m.x_effective,
-        m.y_effective,
-        net.e1,
-        net.e2,
-        init.x,
-        init.y,
-        init.xdot,
-        init.ydot,
-        dt,
-        n_steps,
-    )
-    return Trajectory(init.t, dt, xs, ys, vxs, vys)
+    try:
+        return _backend.rk4_stage_path(
+            m.x_effective, m.y_effective, net.e1, net.e2, *state, dt, stop - 1 - first
+        )
+    except OverflowError as exc:
+        # The kernel counts its steps from row first: "... at step N".
+        message, _, step = str(exc).rpartition(" ")
+        raise OverflowError(f"{message} {first + int(step)}") from None
+
+
+def simulate(
+    m: MassParams, init: StageState, w: Wrench, dt: float, t_end: float
+) -> Trajectory:
+    """Integrate the equation of motion with classical fixed-step RK4.
+
+    Takes floor((t_end - init.t)/dt) steps of exactly dt, so the trajectory
+    ends within dt of t_end. Timestamps are init.t + i*dt. Raises
+    DomainError on a bad step or horizon and OverflowError if the state
+    diverges past 1e100 or turns NaN.
+    """
+    rows = _row_count(init, dt, t_end)
+    state = (init.x, init.y, init.xdot, init.ydot)
+    return Trajectory(init.t, dt, *_path(m, w, dt, state, 0, rows))
 
 
 def homogeneous_residual_maxnorm(

@@ -1,15 +1,17 @@
+import dataclasses
 import marshal
 import math
 import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
 from cellstage import cli, frames, propcheck
 from cellstage._rng import property_stream
-from cellstage.dynamics import MAX_STEPS, Trajectory, simulate
+from cellstage.dynamics import MAX_STEPS, StageState, Trajectory, simulate
 from cellstage.errors import DomainError
 from cellstage.frames import StagePoint, stage_to_image
 from cellstage.linalg2 import Mat2
@@ -60,6 +62,14 @@ WIDE_IMAGE = (
     .replace("dt = 0.1", "dt = 1e-4")
     .replace("t_end = 1.0", "t_end = 3.0")
 )
+
+
+@pytest.fixture
+def fine_config(tmp_path):
+    """The reference scenario at dt = 1e-4: 20,001 rows, five chunks."""
+    path = tmp_path / "fine.cfg"
+    path.write_text(REFERENCE_CONFIG.read_text().replace("dt = 0.01", "dt = 0.0001"))
+    return path
 
 
 @pytest.fixture
@@ -324,13 +334,6 @@ class TestForkedWriter:
         monkeypatch.setattr(cli, "_csv_parts", lambda rows: parts)
         return cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
 
-    @pytest.fixture
-    def fine_config(self, tmp_path):
-        """The reference scenario at dt = 1e-4: 20,001 rows, five chunks."""
-        path = tmp_path / "fine.cfg"
-        path.write_text(REFERENCE_CONFIG.read_text().replace("dt = 0.01", "dt = 0.0001"))
-        return path
-
     @staticmethod
     def single_render(cfg):
         config = parse_config(cfg.read_bytes())
@@ -421,14 +424,15 @@ class TestForkedWriter:
         # Worker 1 failing is re-rendered before worker 2's part is
         # appended; worker 2 failing is re-rendered after worker 1's.
         parent = os.getpid()
-        render_rows = cli._render_rows
+        render_window = cli._render_window
 
-        def full_disk_in_one_worker(handle, traj, config, start, stop):
-            if os.getpid() != parent and start == len(traj) * failing // 3:
+        def full_disk_in_one_worker(handle, window, config, start):
+            # Worker j renders window j - 1 of the three over 20,001 rows.
+            if os.getpid() != parent and start == 20_001 * (failing - 1) // 3:
                 raise OSError(28, "No space left on device")
-            render_rows(handle, traj, config, start, stop)
+            render_window(handle, window, config, start)
 
-        monkeypatch.setattr(cli, "_render_rows", full_disk_in_one_worker)
+        monkeypatch.setattr(cli, "_render_window", full_disk_in_one_worker)
         out = tmp_path / "fine.csv"
         assert self.simulate(fine_config, out, 3, monkeypatch) == 0
         assert out.read_bytes() == self.single_render(fine_config)
@@ -445,6 +449,232 @@ class TestForkedWriter:
         assert self.simulate(fine_config, out, 3, monkeypatch) == 0
         assert out.read_bytes() == self.single_render(fine_config)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "fine.csv"]
+
+
+def _open_fds() -> set[str]:
+    return set(os.listdir("/proc/self/fd"))
+
+
+class TestWindows:
+    """`simulate` integrates in windows beside forked renderers; errors and
+    leftovers are those of one process."""
+
+    @pytest.fixture(autouse=True)
+    def every_worker_reaped(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def config(text, t0=None):
+        config = parse_config(text.encode())
+        if t0 is not None:
+            config = dataclasses.replace(config, initial=StageState(t0, 0.0, 0.0, 0.0, 0.0))
+        return config
+
+    @staticmethod
+    def one_process_error(config):
+        """The error of simulating and rendering in one piece."""
+        try:
+            traj = simulate(
+                config.masses, config.initial, config.wrench, config.dt, config.t_end
+            )
+            cli.render_trajectory_csv(traj, config)
+        except (DomainError, OverflowError) as exc:
+            return exc
+        raise AssertionError("the case does not fail")
+
+    DIVERGES = TRANSLATION_ONLY.replace("taux = 0.0", "taux = 1e99")
+    #: At t0 = 2**53 - k with dt = 1, rows k and k + 1 are both at 2**53.
+    UNIT_STEP = TRANSLATION_ONLY.replace("dt = 0.1", "dt = 1.0")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("windows", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "text, t0, error",
+        [
+            # 131 rows: step 110 is in the last window of 2 and of 3.
+            (DIVERGES.replace("t_end = 1.0", "t_end = 13.0"), None,
+             "state left [-1e+100, 1e+100] at step 110"),
+            # u is inf from row 1, in the first window, but the later
+            # divergence wins, as it does in one process.
+            (DIVERGES.replace("t_end = 1.0", "t_end = 13.0").replace("fx = 1.0", "fx = 1e300"),
+             None, "state left [-1e+100, 1e+100] at step 110"),
+            # 12 rows, 2**53 at rows 5 and 6: the seam of 2 windows.
+            (UNIT_STEP.replace("t_end = 1.0", f"t_end = {2.0**53 + 6!r}"), 2.0**53 - 5,
+             "timestamps must be strictly increasing: 9007199254740992.0 -> 9007199254740992.0"),
+            # 31 rows: a time error at row 5 and a divergence at step 11.
+            (UNIT_STEP.replace("taux = 0.0", "taux = 1e99").replace(
+                "t_end = 1.0", f"t_end = {2.0**53 + 26!r}"), 2.0**53 - 5,
+             "state left [-1e+100, 1e+100] at step 11"),
+            # 32 rows: u is inf from row 3, in the first window, and 2**53 is
+            # at rows 25 and 26, in the last: the bad time still wins.
+            (UNIT_STEP.replace("taux = 0.0", "taux = 1e8").replace("fx = 1.0", "fx = 1e300")
+             .replace("t_end = 1.0", f"t_end = {2.0**53 + 6!r}"), 2.0**53 - 25,
+             "timestamps must be strictly increasing: 9007199254740992.0 -> 9007199254740992.0"),
+            # 30,001 rows: only a bad row.
+            (WIDE_IMAGE, None, "u[27327] must be finite, got inf"),
+        ],
+        ids=["late-divergence", "bad-u-then-divergence", "seam-time", "time-then-divergence",
+             "bad-u-then-time", "bad-u"],
+    )
+    def test_error_is_the_one_process_error(
+        self, text, t0, error, windows, cpus, monkeypatch, tmp_path
+    ):
+        config = self.config(text, t0)
+        expected = self.one_process_error(config)
+        assert str(expected) == error
+        monkeypatch.setattr(cli, "_csv_parts", lambda rows: windows)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        out = tmp_path / "out.csv"
+        with pytest.raises(type(expected)) as raised:
+            cli.cmd_simulate(config, str(out))
+        assert str(raised.value) == error
+        assert list(tmp_path.iterdir()) == []
+
+    def test_later_window_divergence_exits_3_from_the_cli(self, tmp_path):
+        # 131,001 rows, so two windows on any host; the state passes 1e100
+        # at step 110,000, in the second.
+        cfg = tmp_path / "late.cfg"
+        cfg.write_text(
+            self.DIVERGES.replace("dt = 0.1", "dt = 1e-4").replace("t_end = 1.0", "t_end = 13.1")
+        )
+        config = parse_config(cfg.read_bytes())
+        message = str(self.one_process_error(config))
+        assert message == "state left [-1e+100, 1e+100] at step 110000"
+        result = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
+        assert result.returncode == 3
+        assert result.stderr == f"error: simulation diverged: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["late.cfg"]
+
+    @staticmethod
+    def fail_in_workers(monkeypatch):
+        parent = os.getpid()
+        render_window = cli._render_window
+
+        def full_disk_in_workers(handle, window, config, start):
+            if os.getpid() != parent:
+                raise OSError(28, "No space left on device")
+            render_window(handle, window, config, start)
+
+        monkeypatch.setattr(cli, "_render_window", full_disk_in_workers)
+
+    @staticmethod
+    def fail_to_fork(monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("failure", [None, "worker", "fork"])
+    def test_nothing_is_left_behind(self, failure, cpus, fine_config, monkeypatch, tmp_path):
+        expected = TestForkedWriter.single_render(fine_config)
+        if failure == "worker":
+            self.fail_in_workers(monkeypatch)
+        elif failure == "fork":
+            self.fail_to_fork(monkeypatch)
+        monkeypatch.setattr(cli, "_csv_parts", lambda rows: 4)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        fds = _open_fds()
+        out = tmp_path / "fine.csv"
+        assert cli.cmd_simulate(parse_config(fine_config.read_bytes()), str(out)) == 0
+        assert out.read_bytes() == expected
+        assert _open_fds() == fds
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "fine.csv"]
+
+    def test_exception_in_this_process_kills_every_worker(
+        self, fine_config, monkeypatch, tmp_path
+    ):
+        # The first worker's part fails to append while the others run.
+        forked = []
+        fork = os.fork
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        def interrupted(fd, part):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(cli, "_append_part", interrupted)
+        monkeypatch.setattr(cli, "_csv_parts", lambda rows: 4)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        fds = _open_fds()
+        out = tmp_path / "fine.csv"
+        out.write_text("previous contents\n")
+        with pytest.raises(KeyboardInterrupt):
+            cli.cmd_simulate(parse_config(fine_config.read_bytes()), str(out))
+        assert len(forked) == 3
+        assert _open_fds() == fds
+        assert out.read_text() == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "fine.csv"]
+
+    def test_helper_kills_a_running_worker_on_exception(self):
+        began = time.monotonic()
+        with pytest.raises(RuntimeError):
+            with cli._Workers() as workers:
+                assert workers.spawn(time.sleep, 60) is not None
+                raise RuntimeError("in the parent")
+        assert time.monotonic() - began < 30
+
+    def test_helper_reports_each_worker_status(self):
+        def fails():
+            raise ValueError("in the worker")
+
+        with cli._Workers() as workers:
+            passing = workers.spawn(int)
+            failing = workers.spawn(fails)
+            assert workers.wait(failing) is False
+            assert workers.wait(passing) is True
+            workers.spawn(int)  # reaped on leaving the block
+
+
+#: Runs argv[1:] and prints its exit code and its os.wait4 ru_maxrss (kB),
+#: which folds in the workers it reaped. Started apart from the test process,
+#: whose own peak would fold into the child's. Pinned to at most two CPUs, so
+#: the windows are the same on any host.
+_PEAK_RSS_KB = """
+import os, subprocess, sys
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+class TestFlatMemory:
+    @staticmethod
+    def peak_rss_kb(tmp_path, rows):
+        dt = 2.0**-10
+        cfg = tmp_path / f"{rows}.cfg"
+        cfg.write_text(
+            TRANSLATION_ONLY.replace("dt = 0.1", f"dt = {dt!r}").replace(
+                "t_end = 1.0", f"t_end = {(rows - 1) * dt!r}"
+            )
+        )
+        out = tmp_path / f"{rows}.csv"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_KB, sys.executable, "-m", "cellstage",
+             "simulate", "--config", str(cfg), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        code, maxrss_kb = map(int, result.stdout.split())
+        assert code == 0, result.stderr
+        assert len(out.read_bytes().splitlines()) == rows + 1
+        out.unlink()
+        return maxrss_kb
+
+    def test_peak_rss_does_not_grow_with_the_horizon(self, tmp_path):
+        window = cli._WINDOW_ROWS
+        short = self.peak_rss_kb(tmp_path, 2 * window)
+        long = self.peak_rss_kb(tmp_path, 6 * window)
+        assert abs(long - short) <= 2 * 1024, (short, long)
 
 
 class TestVerify:
