@@ -32,15 +32,23 @@ def rk4_stage_path(mx_eff, my_eff, cx, cy, x0, y0, vx0, vy0, dt, n_steps):
     ys = [y]
     vxs = [vx]
     vys = [vy]
+    append_x = xs.append
+    append_y = ys.append
+    append_vx = vxs.append
+    append_vy = vys.append
+    # 0.5 * dt * k parses as (0.5 * dt) * k, so h keeps every bit.
+    h = 0.5 * dt
+    high = OVERFLOW_LIMIT
+    low = -high
     for _ in range(n_steps):
         k1vx = (cx - vx) / mx_eff
         k1vy = (cy - vy) / my_eff
-        s2vx = vx + 0.5 * dt * k1vx
-        s2vy = vy + 0.5 * dt * k1vy
+        s2vx = vx + h * k1vx
+        s2vy = vy + h * k1vy
         k2vx = (cx - s2vx) / mx_eff
         k2vy = (cy - s2vy) / my_eff
-        s3vx = vx + 0.5 * dt * k2vx
-        s3vy = vy + 0.5 * dt * k2vy
+        s3vx = vx + h * k2vx
+        s3vy = vy + h * k2vy
         k3vx = (cx - s3vx) / mx_eff
         k3vy = (cy - s3vy) / my_eff
         s4vx = vx + dt * k3vx
@@ -53,17 +61,17 @@ def rk4_stage_path(mx_eff, my_eff, cx, cy, x0, y0, vx0, vy0, dt, n_steps):
         vy = vy + dt * (k1vy + 2.0 * k2vy + 2.0 * k3vy + k4vy) / 6.0
         # Written as "not within" so that a NaN component trips it too.
         if not (
-            abs(x) <= OVERFLOW_LIMIT
-            and abs(y) <= OVERFLOW_LIMIT
-            and abs(vx) <= OVERFLOW_LIMIT
-            and abs(vy) <= OVERFLOW_LIMIT
+            low <= x <= high
+            and low <= y <= high
+            and low <= vx <= high
+            and low <= vy <= high
         ):
             raise OverflowError(
                 f"state left [{-OVERFLOW_LIMIT:g}, {OVERFLOW_LIMIT:g}]"
                 f" at step {len(xs)}"
             )
-        xs.append(x)
-        ys.append(y)
-        vxs.append(vx)
-        vys.append(vy)
+        append_x(x)
+        append_y(y)
+        append_vx(vx)
+        append_vy(vy)
     return xs, ys, vxs, vys

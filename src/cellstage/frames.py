@@ -4,10 +4,13 @@ The stage frame sits on the positioning table holding the cells, the camera
 frame on the microscope optics, the image frame on the pixel plane. A planar
 rotation `alpha` plus displacement (dx, dy) maps stage to camera; per-axis
 display-resolution scales (fx, fy) map camera to image. All four frame maps
-are written once, over coordinate columns, in `_affine_columns`:
-`stage_to_camera` and `stage_to_image` are one-row calls of the column maps,
-so each CSV row has the point map's bits, and `camera_to_image` and
-`image_to_stage` are one-row calls of the core itself.
+are written once, over coordinate columns, in `_affine_columns`, which takes
+a map's six coefficients (a11, a12, a21, a22, b1, b2). A Calibration is
+immutable, so each map's coefficients are derived once per calibration, on
+first use, by the module-level builders (`rotation_matrix`,
+`transformation_matrix`, `inverse2`, ...) and cached on it. Every point map
+and column map is then one core call on those coefficients, so each CSV row
+has the point map's bits.
 
 The core and the column maps are unchecked arithmetic; an overflow leaves
 inf or nan in their results. Each value is checked once, where it is used:
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import DomainError
@@ -42,6 +46,11 @@ class Calibration:
     alpha: stage-to-camera rotation, radians (radians only; no degree mode).
     dx, dy: camera-origin displacement in stage-length units, both > 0.
     fx, fy: display resolution in pixels per stage-length unit, both > 0.
+
+    Immutable. Each frame map's coefficients are derived on first use and
+    cached on the instance, outside the fields: equality, hashing and repr
+    see the five fields only. A builder that raises caches nothing, so a
+    degenerate calibration raises on every call.
     """
 
     alpha: float
@@ -56,6 +65,34 @@ class Calibration:
         _require_positive("dy", self.dy)
         _require_positive("fx", self.fx)
         _require_positive("fy", self.fy)
+
+    # The cached coefficients of each frame map, one property per map so a
+    # map builds only what it uses: (a11, a12, a21, a22, b1, b2).
+
+    @cached_property
+    def _to_camera(self) -> tuple[float, ...]:
+        """R(alpha) and (dx, dy)."""
+        r = rotation_matrix(self.alpha)
+        d = displacement_vector(self.dx, self.dy)
+        return (r.a11, r.a12, r.a21, r.a22, d.e1, d.e2)
+
+    @cached_property
+    def _to_image(self) -> tuple[float, ...]:
+        """T(c) and (fx*dx, fy*dy)."""
+        t = transformation_matrix(self)
+        return (t.a11, t.a12, t.a21, t.a22, self.fx * self.dx, self.fy * self.dy)
+
+    @cached_property
+    def _camera_to_image(self) -> tuple[float, ...]:
+        """diag(fx, fy), no offset."""
+        s = display_resolution_matrix(self.fx, self.fy)
+        return (s.a11, s.a12, s.a21, s.a22, _NO_OFFSET, _NO_OFFSET)
+
+    @cached_property
+    def _to_stage(self) -> tuple[float, ...]:
+        """T(c)^-1, no offset: image_to_stage subtracts (fx*dx, fy*dy) first."""
+        t_inv = inverse2(transformation_matrix(self))
+        return (t_inv.a11, t_inv.a12, t_inv.a21, t_inv.a22, _NO_OFFSET, _NO_OFFSET)
 
 
 @dataclass(frozen=True)
@@ -136,11 +173,13 @@ def transformation_matrix(c: Calibration) -> Mat2:
 _NO_OFFSET = -0.0
 
 
-def _affine_columns(a11, a12, a21, a22, b1, b2, xs, ys):
-    """The (a11*x + a12*y) + b1 and (a21*x + a22*y) + b2 lists over rows (x, y).
+def _affine_columns(a, xs, ys):
+    """The (a11*x + a12*y) + b1 and (a21*x + a22*y) + b2 lists over rows (x, y),
+    for a = (a11, a12, a21, a22, b1, b2).
 
     Pure arithmetic: nothing is checked, so an entry may be inf or nan.
     """
+    a11, a12, a21, a22, b1, b2 = a
     first = [(a11 * x + a12 * y) + b1 for x, y in zip(xs, ys)]
     second = [(a21 * x + a22 * y) + b2 for x, y in zip(xs, ys)]
     return first, second
@@ -153,9 +192,7 @@ def stage_to_camera_columns(
 
     The results are unchecked and may hold inf or nan.
     """
-    r = rotation_matrix(c.alpha)
-    d = displacement_vector(c.dx, c.dy)
-    return _affine_columns(r.a11, r.a12, r.a21, r.a22, d.e1, d.e2, xs, ys)
+    return _affine_columns(c._to_camera, xs, ys)
 
 
 def stage_to_image_columns(
@@ -165,24 +202,18 @@ def stage_to_image_columns(
 
     The results are unchecked and may hold inf or nan.
     """
-    t = transformation_matrix(c)
-    return _affine_columns(
-        t.a11, t.a12, t.a21, t.a22, c.fx * c.dx, c.fy * c.dy, xs, ys
-    )
+    return _affine_columns(c._to_image, xs, ys)
 
 
 def stage_to_camera(p: StagePoint, c: Calibration) -> CameraPoint:
     """R(alpha) . p + (dx, dy): one row of stage_to_camera_columns."""
-    (xc,), (yc,) = stage_to_camera_columns((p.x,), (p.y,), c)
+    (xc,), (yc,) = _affine_columns(c._to_camera, (p.x,), (p.y,))
     return CameraPoint(xc, yc)
 
 
 def camera_to_image(p: CameraPoint, c: Calibration) -> ImagePoint:
     """(u, v) = (fx * xc, fy * yc): one row of the affine core, diag(fx, fy)."""
-    s = display_resolution_matrix(c.fx, c.fy)
-    (u,), (v,) = _affine_columns(
-        s.a11, s.a12, s.a21, s.a22, _NO_OFFSET, _NO_OFFSET, (p.xc,), (p.yc,)
-    )
+    (u,), (v,) = _affine_columns(c._camera_to_image, (p.xc,), (p.yc,))
     return ImagePoint(u, v)
 
 
@@ -191,7 +222,7 @@ def stage_to_image(p: StagePoint, c: Calibration) -> ImagePoint:
 
     Agrees with camera_to_image(stage_to_camera(p, c), c) to round-off.
     """
-    (u,), (v,) = stage_to_image_columns((p.x,), (p.y,), c)
+    (u,), (v,) = _affine_columns(c._to_image, (p.x,), (p.y,))
     return ImagePoint(u, v)
 
 
@@ -201,9 +232,7 @@ def image_to_stage(p: ImagePoint, c: Calibration) -> StagePoint:
     For a valid Calibration det T = fx*fy > 0, so SingularError can only fire
     on degenerate inputs constructed around the validation.
     """
-    t_inv = inverse2(transformation_matrix(c))
     (x,), (y,) = _affine_columns(
-        t_inv.a11, t_inv.a12, t_inv.a21, t_inv.a22, _NO_OFFSET, _NO_OFFSET,
-        (p.u - c.fx * c.dx,), (p.v - c.fy * c.dy,),
+        c._to_stage, (p.u - c.fx * c.dx,), (p.v - c.fy * c.dy,)
     )
     return StagePoint(x, y)

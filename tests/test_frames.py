@@ -1,10 +1,12 @@
 import math
+from dataclasses import astuple
 
 import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cellstage import frames
 from cellstage.errors import DomainError, SingularError
 from cellstage.frames import (
     Calibration,
@@ -317,3 +319,102 @@ class TestColumnTransforms:
         assert math.isinf(xc[0]) and math.isfinite(yc[0])
         assert math.isnan(u[0]) and math.isfinite(v[0])
         assert all(map(math.isfinite, (xc[1], yc[1], u[1], v[1])))
+
+
+class TestCoefficientCache:
+    """Each map's coefficients are derived once per Calibration, on first use."""
+
+    def test_builders_run_at_most_once_per_map(self, monkeypatch):
+        counts = {}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args)
+
+            monkeypatch.setattr(frames, name, wrapper)
+
+        for name in (
+            "rotation_matrix",
+            "displacement_vector",
+            "display_resolution_matrix",
+            "transformation_matrix",
+            "inverse2",
+        ):
+            counting(name, getattr(frames, name))
+        c = Calibration(alpha=0.7, dx=1.5, dy=2.5, fx=3.0, fy=4.0)
+        for i in range(1000):
+            img = stage_to_image(StagePoint(0.5 * i, -0.25 * i), c)
+            cam = stage_to_camera(image_to_stage(img, c), c)
+            camera_to_image(cam, c)
+        stage_to_camera_columns([1.0], [2.0], c)
+        stage_to_image_columns([1.0], [2.0], c)
+        # transformation_matrix builds two maps: stage->image and its inverse.
+        assert counts == {
+            "rotation_matrix": 1,
+            "displacement_vector": 1,
+            "display_resolution_matrix": 1,
+            "transformation_matrix": 2,
+            "inverse2": 1,
+        }
+
+    def test_cache_is_invisible_to_eq_hash_repr(self):
+        fields = dict(alpha=0.3, dx=1.0, dy=2.0, fx=1.5, fy=2.5)
+        used, fresh = Calibration(**fields), Calibration(**fields)
+        for fn, p in (
+            (stage_to_camera, StagePoint(1.0, 2.0)),
+            (stage_to_image, StagePoint(1.0, 2.0)),
+            (camera_to_image, CameraPoint(1.0, 2.0)),
+            (image_to_stage, ImagePoint(1.0, 2.0)),
+        ):
+            fn(p, used)
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert repr(used) == "Calibration(alpha=0.3, dx=1.0, dy=2.0, fx=1.5, fy=2.5)"
+
+    def test_degenerate_calibration_raises_on_every_call(self):
+        bad = degenerate_calibration(alpha=0.0, dx=1.0, dy=1.0, fx=0.0, fy=1.0)
+        for _ in range(3):
+            with pytest.raises(SingularError):
+                image_to_stage(ImagePoint(1.0, 1.0), bad)
+            with pytest.raises(DomainError, match=r"^fx must be positive, got 0\.0$"):
+                camera_to_image(CameraPoint(1.0, 1.0), bad)
+        # Maps that need neither builder still work on it.
+        assert stage_to_camera(StagePoint(1.0, 2.0), bad) == CameraPoint(2.0, 3.0)
+
+    def test_point_maps_bit_equal_to_literal_affine_forms(self):
+        rng = SplitMix64(9)
+        for _ in range(200):
+            c = Calibration(
+                alpha=rng.uniform(-math.pi, math.pi),
+                dx=rng.uniform_open_low(10.0),
+                dy=rng.uniform_open_low(10.0),
+                fx=rng.log_uniform(0.1, 100.0),
+                fy=rng.log_uniform(0.1, 100.0),
+            )
+            ca = math.cos(c.alpha)
+            sa = math.sin(c.alpha)
+            fx, fy, dx, dy = c.fx, c.fy, c.dx, c.dy
+            t11, t12, t21, t22 = fx * ca, fx * sa, -fy * sa, fy * ca
+            det = t11 * t22 - t12 * t21
+            i11, i12, i21, i22 = t22 / det, -t12 / det, -t21 / det, t11 / det
+            points = [(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)) for _ in range(5)]
+            for x, y in points + [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]:
+                want = {
+                    "stage_to_camera": ((ca * x + sa * y) + dx, (-sa * x + ca * y) + dy),
+                    "stage_to_image": ((t11 * x + t12 * y) + fx * dx, (t21 * x + t22 * y) + fy * dy),
+                    "camera_to_image": ((fx * x + 0.0 * y) + -0.0, (0.0 * x + fy * y) + -0.0),
+                    "image_to_stage": (
+                        (i11 * (x - fx * dx) + i12 * (y - fy * dy)) + -0.0,
+                        (i21 * (x - fx * dx) + i22 * (y - fy * dy)) + -0.0,
+                    ),
+                }
+                got = {
+                    "stage_to_camera": astuple(stage_to_camera(StagePoint(x, y), c)),
+                    "stage_to_image": astuple(stage_to_image(StagePoint(x, y), c)),
+                    "camera_to_image": astuple(camera_to_image(CameraPoint(x, y), c)),
+                    "image_to_stage": astuple(image_to_stage(ImagePoint(x, y), c)),
+                }
+                for name, pair in want.items():
+                    assert [g.hex() for g in got[name]] == [w.hex() for w in pair], name
