@@ -3,14 +3,15 @@
 The stage frame sits on the positioning table holding the cells, the camera
 frame on the microscope optics, the image frame on the pixel plane. A planar
 rotation `alpha` plus displacement (dx, dy) maps stage to camera; per-axis
-display-resolution scales (fx, fy) map camera to image. All four frame maps
-are written once, over coordinate columns, in `_affine_columns`, which takes
+display-resolution scales (fx, fy) map camera to image. The arithmetic of
+all four frame maps is written once, for one row, in `_affine`, which takes
 a map's six coefficients (a11, a12, a21, a22, b1, b2). A Calibration is
 immutable, so each map's coefficients are derived once per calibration, on
 first use, by the module-level builders (`rotation_matrix`,
 `transformation_matrix`, `inverse2`, ...) and cached on it. Every point map
-and column map is then one core call on those coefficients, so each CSV row
-has the point map's bits.
+is one `_affine` call on those coefficients, and the column maps map the
+same call over their rows (`_affine_columns`), so each CSV row has the point
+map's bits.
 
 The core and the column maps are unchecked arithmetic; an overflow leaves
 inf or nan in their results. Each value is checked once, where it is used:
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Sequence
 
 from .errors import DomainError
@@ -173,15 +175,31 @@ def transformation_matrix(c: Calibration) -> Mat2:
 _NO_OFFSET = -0.0
 
 
-def _affine_columns(a, xs, ys):
-    """The (a11*x + a12*y) + b1 and (a21*x + a22*y) + b2 lists over rows (x, y),
-    for a = (a11, a12, a21, a22, b1, b2).
+def _affine(a, x, y):
+    """(a11*x + a12*y) + b1 and (a21*x + a22*y) + b2 for one row (x, y), with
+    a = (a11, a12, a21, a22, b1, b2): the only place the affine arithmetic of
+    the frame maps is written.
 
-    Pure arithmetic: nothing is checked, so an entry may be inf or nan.
+    Pure arithmetic: nothing is checked, so a result may be inf or nan.
     """
     a11, a12, a21, a22, b1, b2 = a
-    first = [(a11 * x + a12 * y) + b1 for x, y in zip(xs, ys)]
-    second = [(a21 * x + a22 * y) + b2 for x, y in zip(xs, ys)]
+    return (a11 * x + a12 * y) + b1, (a21 * x + a22 * y) + b2
+
+
+def _affine_columns(a, xs, ys):
+    """`_affine` over the rows (x, y) of two columns: its first and second
+    results as two lists.
+
+    Holds no arithmetic of its own, so each row has the bits of the point
+    map of that row. Unchecked: an entry may be inf or nan. The pairs are
+    split as they come rather than listed first, which kept a CLI
+    simulate's peak RSS at its old level.
+    """
+    first, second = [], []
+    add_first, add_second = first.append, second.append
+    for u, v in map(_affine, repeat(a), xs, ys):
+        add_first(u)
+        add_second(v)
     return first, second
 
 
@@ -206,23 +224,23 @@ def stage_to_image_columns(
 
 
 def stage_to_camera(p: StagePoint, c: Calibration) -> CameraPoint:
-    """R(alpha) . p + (dx, dy): one row of stage_to_camera_columns."""
-    (xc,), (yc,) = _affine_columns(c._to_camera, (p.x,), (p.y,))
+    """R(alpha) . p + (dx, dy): one `_affine` row, as in stage_to_camera_columns."""
+    xc, yc = _affine(c._to_camera, p.x, p.y)
     return CameraPoint(xc, yc)
 
 
 def camera_to_image(p: CameraPoint, c: Calibration) -> ImagePoint:
-    """(u, v) = (fx * xc, fy * yc): one row of the affine core, diag(fx, fy)."""
-    (u,), (v,) = _affine_columns(c._camera_to_image, (p.xc,), (p.yc,))
+    """(u, v) = (fx * xc, fy * yc): one `_affine` row on diag(fx, fy)."""
+    u, v = _affine(c._camera_to_image, p.xc, p.yc)
     return ImagePoint(u, v)
 
 
 def stage_to_image(p: StagePoint, c: Calibration) -> ImagePoint:
-    """T(c) . p + (fx*dx, fy*dy): one row of stage_to_image_columns.
+    """T(c) . p + (fx*dx, fy*dy): one `_affine` row, as in stage_to_image_columns.
 
     Agrees with camera_to_image(stage_to_camera(p, c), c) to round-off.
     """
-    (u,), (v,) = _affine_columns(c._to_image, (p.x,), (p.y,))
+    u, v = _affine(c._to_image, p.x, p.y)
     return ImagePoint(u, v)
 
 
@@ -232,7 +250,5 @@ def image_to_stage(p: ImagePoint, c: Calibration) -> StagePoint:
     For a valid Calibration det T = fx*fy > 0, so SingularError can only fire
     on degenerate inputs constructed around the validation.
     """
-    (x,), (y,) = _affine_columns(
-        c._to_stage, (p.u - c.fx * c.dx,), (p.v - c.fy * c.dy,)
-    )
+    x, y = _affine(c._to_stage, p.u - c.fx * c.dx, p.v - c.fy * c.dy)
     return StagePoint(x, y)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cellstage import frames
+from cellstage import cli, frames
 from cellstage.errors import DomainError, SingularError
 from cellstage.frames import (
     Calibration,
@@ -26,6 +26,7 @@ from cellstage.frames import (
 )
 from cellstage.linalg2 import IDENTITY, Mat2, Vec2, determinant, inverse2, mat_mul
 from cellstage._rng import SplitMix64
+from conftest import REFERENCE_CONFIG
 
 mpmath.mp.dps = 50
 
@@ -272,13 +273,13 @@ class TestColumnTransforms:
             assert [a.hex() for a in yc] == [a.hex() for a in want_yc]
             assert [a.hex() for a in u] == [a.hex() for a in want_u]
             assert [a.hex() for a in v] == [a.hex() for a in want_v]
-            # The point maps are one-row calls of the column maps.
+            # Each row of the column maps is the point map of that row.
             for i in (0, len(xs) - 2, len(xs) - 1):
                 cam = stage_to_camera(StagePoint(xs[i], ys[i]), c)
                 img = stage_to_image(StagePoint(xs[i], ys[i]), c)
                 assert (cam.xc.hex(), cam.yc.hex()) == (xc[i].hex(), yc[i].hex())
                 assert (img.u.hex(), img.v.hex()) == (u[i].hex(), v[i].hex())
-            # camera_to_image and image_to_stage are one-row calls of the core
+            # camera_to_image and image_to_stage are one `_affine` call each
             # with a -0.0 offset, so they keep the bare products' signed zeros;
             # (fx*dx, fy*dy) maps to zeros signed like the entries of T^-1.
             inv = inverse2(transformation_matrix(c))
@@ -313,12 +314,18 @@ class TestColumnTransforms:
             stage_to_camera(StagePoint(1.7e308, 1.7e308), diagonal)
 
     def test_column_maps_are_unchecked(self):
+        # An overflowing row leaves inf or nan in its place and raises
+        # nothing; the rows around it keep their point maps' bits.
         c = Calibration(alpha=math.pi / 4, dx=1.0, dy=1.0, fx=1e300, fy=1.0)
-        xc, yc = stage_to_camera_columns([1.7e308, 0.0], [1.7e308, 0.0], c)
-        u, v = stage_to_image_columns([1e9, 0.0], [-1e9, 0.0], c)
-        assert math.isinf(xc[0]) and math.isfinite(yc[0])
-        assert math.isnan(u[0]) and math.isfinite(v[0])
-        assert all(map(math.isfinite, (xc[1], yc[1], u[1], v[1])))
+        xc, yc = stage_to_camera_columns([0.5, 1.7e308, -2.0], [0.25, 1.7e308, 3.0], c)
+        u, v = stage_to_image_columns([0.5, 1e9, -2.0], [0.25, -1e9, 3.0], c)
+        assert math.isinf(xc[1]) and math.isfinite(yc[1])
+        assert math.isnan(u[1]) and math.isfinite(v[1])
+        for i, (x, y) in ((0, (0.5, 0.25)), (2, (-2.0, 3.0))):
+            cam = stage_to_camera(StagePoint(x, y), c)
+            img = stage_to_image(StagePoint(x, y), c)
+            assert (xc[i].hex(), yc[i].hex()) == (cam.xc.hex(), cam.yc.hex())
+            assert (u[i].hex(), v[i].hex()) == (img.u.hex(), img.v.hex())
 
 
 class TestCoefficientCache:
@@ -418,3 +425,78 @@ class TestCoefficientCache:
                 }
                 for name, pair in want.items():
                     assert [g.hex() for g in got[name]] == [w.hex() for w in pair], name
+
+
+class TestOneCore:
+    """Every frame map reaches its arithmetic through the one `_affine`."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = frames._affine
+
+        def counting(a, x, y):
+            calls.append((x, y))
+            return original(a, x, y)
+
+        monkeypatch.setattr(frames, "_affine", counting)
+        return calls
+
+    def test_each_point_map_calls_the_core_once(self, calls):
+        c = Calibration(alpha=0.4, dx=1.0, dy=2.0, fx=3.0, fy=5.0)
+        for fn, p in (
+            (stage_to_camera, StagePoint(1.0, 2.0)),
+            (stage_to_image, StagePoint(1.0, 2.0)),
+            (camera_to_image, CameraPoint(1.0, 2.0)),
+            (image_to_stage, ImagePoint(1.0, 2.0)),
+        ):
+            calls.clear()
+            fn(p, c)
+            assert len(calls) == 1, fn.__name__
+
+    def test_column_maps_call_the_core_once_per_row(self, calls):
+        c = Calibration(alpha=0.4, dx=1.0, dy=2.0, fx=3.0, fy=5.0)
+        xs, ys = [0.5 * i for i in range(7)], [-0.25 * i for i in range(7)]
+        for fn in (stage_to_camera_columns, stage_to_image_columns):
+            calls.clear()
+            fn(xs, ys, c)
+            assert calls == list(zip(xs, ys)), fn.__name__
+
+    def test_transform_command_calls_the_core_twice(self, calls, capsys):
+        argv = ["transform", "--config", str(REFERENCE_CONFIG), "--x", "1.25", "--y", "-3.5"]
+        assert cli.main(argv) == 0
+        assert calls == [(1.25, -3.5), (1.25, -3.5)]
+        assert capsys.readouterr().out.startswith("camera ")
+
+
+class TestColumnMapContract:
+    """The column maps return two lists, each row bit-equal to its point map."""
+
+    @pytest.mark.parametrize("fn", [stage_to_camera_columns, stage_to_image_columns])
+    def test_empty_columns_give_two_empty_lists(self, fn):
+        c = Calibration(alpha=0.4, dx=1.0, dy=2.0, fx=3.0, fy=5.0)
+        result = fn([], [], c)
+        assert type(result) is tuple
+        assert result == ([], []) and all(type(col) is list for col in result)
+
+    def test_every_row_bit_equal_to_its_point_map(self):
+        rng = SplitMix64(1313)
+        signed_zeros = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)]
+        for _ in range(200):
+            c = Calibration(
+                alpha=rng.uniform(-math.pi, math.pi),
+                dx=rng.uniform_open_low(10.0),
+                dy=rng.uniform_open_low(10.0),
+                fx=rng.log_uniform(0.1, 100.0),
+                fy=rng.log_uniform(0.1, 100.0),
+            )
+            rows = [(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)) for _ in range(6)]
+            rows += signed_zeros
+            xs, ys = [x for x, _ in rows], [y for _, y in rows]
+            cam = stage_to_camera_columns(xs, ys, c)
+            img = stage_to_image_columns(xs, ys, c)
+            for (x, y), xc, yc, u, v in zip(rows, *cam, *img):
+                want_cam = stage_to_camera(StagePoint(x, y), c)
+                want_img = stage_to_image(StagePoint(x, y), c)
+                assert (xc.hex(), yc.hex()) == (want_cam.xc.hex(), want_cam.yc.hex())
+                assert (u.hex(), v.hex()) == (want_img.u.hex(), want_img.v.hex())
