@@ -29,10 +29,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from math import isfinite
 from typing import Sequence
 
 from .errors import DomainError
-from .linalg2 import Mat2, Vec2, inverse2, _require_finite
+from .linalg2 import Mat2, Vec2, inverse2, _require_finite, _set_field
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -97,43 +98,52 @@ class Calibration:
         return (t_inv.a11, t_inv.a12, t_inv.a21, t_inv.a22, _NO_OFFSET, _NO_OFFSET)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StagePoint:
     """A point in the stage frame (stage-length units)."""
 
     x: float
     y: float
 
-    def __post_init__(self):
-        _require_finite("x", self.x)
-        _require_finite("y", self.y)
+    def __init__(self, x: float, y: float):
+        if not (isfinite(x) and isfinite(y)):
+            _require_finite("x", x)
+            _require_finite("y", y)
+        _set_field(self, "x", x)
+        _set_field(self, "y", y)
 
     def vec(self) -> Vec2:
         return Vec2(self.x, self.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CameraPoint:
     """A point in the camera frame (stage-length units)."""
 
     xc: float
     yc: float
 
-    def __post_init__(self):
-        _require_finite("xc", self.xc)
-        _require_finite("yc", self.yc)
+    def __init__(self, xc: float, yc: float):
+        if not (isfinite(xc) and isfinite(yc)):
+            _require_finite("xc", xc)
+            _require_finite("yc", yc)
+        _set_field(self, "xc", xc)
+        _set_field(self, "yc", yc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ImagePoint:
     """A point in the image plane (pixels)."""
 
     u: float
     v: float
 
-    def __post_init__(self):
-        _require_finite("u", self.u)
-        _require_finite("v", self.v)
+    def __init__(self, u: float, v: float):
+        if not (isfinite(u) and isfinite(v)):
+            _require_finite("u", u)
+            _require_finite("v", v)
+        _set_field(self, "u", u)
+        _set_field(self, "v", v)
 
 
 def rotation_matrix(alpha: float) -> Mat2:

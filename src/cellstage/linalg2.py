@@ -3,12 +3,19 @@
 Everything downstream (frame transforms, stage dynamics) runs on these two
 value types. Operations use the exact closed-form expressions; the 2x2
 inverse is adjugate/determinant, never a decomposition.
+
+Vec2, Mat2 and the point types of `frames` check their fields in their own
+`__init__`: one `isfinite` test of all fields, and only when that fails the
+named `_require_finite` check of each field in field order, so the error
+names the first bad field. A pointwise frame map builds a point per call;
+this skips the dataclass `__post_init__` call and one call per field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 
 from .errors import DomainError, SingularError
 
@@ -23,6 +30,11 @@ def _require_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite, got {value!r}")
 
 
+#: Stores a field of a frozen value type from its own `__init__`; bound once,
+#: which is cheaper than looking up `object.__setattr__` on every call.
+_set_field = object.__setattr__
+
+
 def _require_finite_column(name: str, column) -> None:
     """Whole-column finiteness check; names the first bad index."""
     if not all(map(math.isfinite, column)):
@@ -30,16 +42,19 @@ def _require_finite_column(name: str, column) -> None:
         _require_finite(f"{name}[{index}]", column[index])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Vec2:
     """Immutable 2-vector. Components must be finite."""
 
     e1: float
     e2: float
 
-    def __post_init__(self):
-        _require_finite("e1", self.e1)
-        _require_finite("e2", self.e2)
+    def __init__(self, e1: float, e2: float):
+        if not (isfinite(e1) and isfinite(e2)):
+            _require_finite("e1", e1)
+            _require_finite("e2", e2)
+        _set_field(self, "e1", e1)
+        _set_field(self, "e2", e2)
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.e1 + other.e1, self.e2 + other.e2)
@@ -58,7 +73,7 @@ class Vec2:
         yield self.e2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Mat2:
     """Immutable 2x2 matrix, row-major. Entries must be finite."""
 
@@ -67,11 +82,16 @@ class Mat2:
     a21: float
     a22: float
 
-    def __post_init__(self):
-        _require_finite("a11", self.a11)
-        _require_finite("a12", self.a12)
-        _require_finite("a21", self.a21)
-        _require_finite("a22", self.a22)
+    def __init__(self, a11: float, a12: float, a21: float, a22: float):
+        if not (isfinite(a11) and isfinite(a12) and isfinite(a21) and isfinite(a22)):
+            _require_finite("a11", a11)
+            _require_finite("a12", a12)
+            _require_finite("a21", a21)
+            _require_finite("a22", a22)
+        _set_field(self, "a11", a11)
+        _set_field(self, "a12", a12)
+        _set_field(self, "a21", a21)
+        _set_field(self, "a22", a22)
 
     def inf_norm(self) -> float:
         """Max absolute row sum."""

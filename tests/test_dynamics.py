@@ -547,6 +547,12 @@ class TestBenchmarkImportContract:
             missing = [name for name in names if not callable(vars(owner).get(name))]
             assert missing == [], f"{owner.__name__} lacks {missing}"
 
+    def test_state_keeps_its_post_init(self):
+        # tracer.install counts dynamics.states_built by patching
+        # StageState.__post_init__, so StageState must keep its own one rather
+        # than check its fields in a hand-written __init__ like the point types.
+        assert callable(vars(StageState).get("__post_init__"))
+
 
 class TestTrajectory:
     def test_rejects_empty(self):
