@@ -13,13 +13,13 @@ byte-identical output. `simulate` replaces --out only with a complete
 CSV. It streams the path in windows of at most 65,536 rows, so its memory
 does not grow with the horizon: it integrates each window from the last
 row of the one before while forked workers, at most one per usable CPU,
-render the windows already integrated (one process for outputs under two
-4,096-row chunks). `verify` forks once per run, one worker per usable CPU
-(at most one per sample), splits every property's samples among them and
-streams each report line as soon as its ranges are merged. Both fork
-through one helper, `_Workers`, and neither's bytes depend on how many
-processes ran. No flag or environment variable sets the number of
-processes, and there is no environment-variable configuration.
+render the windows already integrated (one process on one usable CPU and
+for outputs under two 4,096-row chunks). `verify` forks once per run, one
+worker per usable CPU (at most one per sample), splits every property's
+samples among them and streams each report line as soon as its ranges are
+merged. Both fork through one helper, `_Workers`, and neither's bytes
+depend on how many processes ran. No flag or environment variable sets the
+number of processes, and there is no environment-variable configuration.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, tmp_path:
                 columns = None
                 if path_error is not None or row_error is not None:
                     continue
-                if stop < rows:
+                if stop < rows and cpus > 1:
                     while len(shares) >= cpus:
                         append_oldest()
                     part = _open_part(tmp_path, start)
@@ -268,7 +268,11 @@ def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, tmp_path:
                     except DomainError:
                         pass  # rendered again, and raised, in its turn
                 else:
-                    _render_window(handle, window, config, start)
+                    try:
+                        _render_window(handle, window, config, start)
+                    except DomainError as exc:
+                        # A later divergence or bad time column still wins.
+                        row_error = exc
                 window = None
             while shares:
                 append_oldest()
@@ -285,11 +289,12 @@ def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
     There are max(_csv_parts(rows), ceil(rows / _WINDOW_ROWS)) equal
     windows. This process integrates each window from the previous one's
     last row; a forked worker renders it into a part file, at most one live
-    worker per usable CPU, and this process renders the last window. The
-    parts are appended in order, so the bytes do not depend on the number
-    of windows. Only a window's start state is kept for it: a window whose
-    worker failed or could not be forked is integrated and rendered again
-    here. Errors come in the order one process meets them: a divergence
+    worker per usable CPU, and this process renders the last window. On one
+    usable CPU this process renders every window itself and forks nothing.
+    The parts are appended in order, so the bytes do not depend on the
+    number of windows. Only a window's start state is kept for it: a window
+    whose worker failed or could not be forked is integrated and rendered
+    again here. Errors come in the order one process meets them: a divergence
     first, then a bad time or state column, then the first bad row, and
     none is raised before the kernel has finished. The CSV goes to a
     temporary file beside out_path that replaces it once complete; on any

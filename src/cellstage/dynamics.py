@@ -10,10 +10,11 @@ exactly as the model states it; `posit_table_matrix` exposes it as a
 constant, not a parameter. Units are read as SI (kg, N, N*m, s).
 
 Both axes decouple, each a first-order linear ODE in the velocity, which is
-what makes the closed-form solutions below possible. `simulate` integrates
-the generic first-order system with classical fixed-step RK4 and returns a
-columnar `Trajectory`: the start time, the step, and the four state columns
-the kernel produced, with no per-sample objects unless a caller indexes or
+what makes the closed-form solutions below possible; for the same reason the
+RK4 kernel in `_backend` integrates one axis at a time. `simulate`
+integrates the system with classical fixed-step RK4 and returns a columnar
+`Trajectory`: the start time, the step, and the four state columns the
+kernel produced, with no per-sample objects unless a caller indexes or
 iterates it. It is one window of the path: `_path` integrates any row range
 from the state of its first row, which is exact because an RK4 step depends
 only on (x, y, xdot, ydot), so `cellstage simulate` streams the same rows in
@@ -362,14 +363,15 @@ def _path(m: MassParams, w: Wrench, dt: float, state, first: int, stop: int):
     path, so every window of it gives the message one call would.
     """
     net = w.net_input()
-    try:
-        return _backend.rk4_stage_path(
-            m.x_effective, m.y_effective, net.e1, net.e2, *state, dt, stop - 1 - first
-        )
-    except OverflowError as exc:
-        # The kernel counts its steps from row first: "... at step N".
-        message, _, step = str(exc).rpartition(" ")
-        raise OverflowError(f"{message} {first + int(step)}") from None
+    columns = _backend.rk4_stage_path(
+        m.x_effective, m.y_effective, net.e1, net.e2, *state, dt, stop - 1 - first
+    )
+    # The kernel stops before the step that diverged.
+    step = first + len(columns[1])
+    if step < stop:
+        limit = _backend.OVERFLOW_LIMIT
+        raise OverflowError(f"state left [{-limit:g}, {limit:g}] at step {step}")
+    return columns
 
 
 def simulate(

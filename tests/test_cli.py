@@ -489,7 +489,7 @@ class TestWindows:
     UNIT_STEP = TRANSLATION_ONLY.replace("dt = 0.1", "dt = 1.0")
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("windows", [1, 2, 3])
+    @pytest.mark.parametrize("windows", [1, 2, 3, 4])
     @pytest.mark.parametrize(
         "text, t0, error",
         [
@@ -531,6 +531,57 @@ class TestWindows:
             cli.cmd_simulate(config, str(out))
         assert str(raised.value) == error
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("windows", [2, 3])
+    @pytest.mark.parametrize(
+        "replacements, step",
+        [
+            # 210 rows: step 105 is the first of the second window of 2.
+            ({"taux = 0.0": "taux = 1.06e99", "tauy = 0.0": "tauy = 5e98",
+              "t_end = 1.0": "t_end = 20.95"}, 105),
+            ({"taux = 0.0": "taux = 1e99", "tauy = 0.0": "tauy = 1e99",
+              "t_end = 1.0": "t_end = 20.95"}, 105),
+            ({"taux = 0.0": "taux = 1.06e99", "tauy = 0.0": "tauy = -1e99",
+              "t_end = 1.0": "t_end = 20.95"}, 105),
+            ({"mx = 0.5": "mx = 1e-12", "my = 0.3": "my = 1e-12", "mp = 0.2": "mp = 1e-12",
+              "yd0 = 0.0": "yd0 = 1.0", "dt = 0.1": "dt = 1e199",
+              "t_end = 1.0": "t_end = 1e200"}, 1),
+            # 12,001 rows: step 10,400 is in the last window and past a
+            # kernel round.
+            ({"mp = 0.2": "mp = 0.1", "tauy = 0.0": "tauy = 1e99", "dt = 0.1": "dt = 1e-3",
+              "t_end = 1.0": "t_end = 12.0"}, 10_400),
+        ],
+        ids=["x-first", "y-first", "same-step", "y-nan", "y-past-a-round"],
+    )
+    def test_divergence_step_does_not_depend_on_windows(
+        self, replacements, step, windows, cpus, monkeypatch, tmp_path
+    ):
+        text = TRANSLATION_ONLY
+        for old, new in replacements.items():
+            text = text.replace(old, new)
+        config = self.config(text)
+        message = f"state left [-1e+100, 1e+100] at step {step}"
+        assert str(self.one_process_error(config)) == message
+        monkeypatch.setattr(cli, "_csv_parts", lambda rows: windows)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        with pytest.raises(OverflowError) as raised:
+            cli.cmd_simulate(config, str(tmp_path / "out.csv"))
+        assert str(raised.value) == message
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_cpu_forks_nothing(self, fine_config, monkeypatch, tmp_path):
+        def forbidden(*args):
+            raise AssertionError("called on one usable CPU")
+
+        expected = TestForkedWriter.single_render(fine_config)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli, "_WINDOW_ROWS", 4096)
+        monkeypatch.setattr(os, "fork", forbidden)
+        monkeypatch.setattr(os, "sendfile", forbidden)
+        out = tmp_path / "fine.csv"
+        assert cli.cmd_simulate(parse_config(fine_config.read_bytes()), str(out)) == 0
+        assert out.read_bytes() == expected
 
     def test_later_window_divergence_exits_3_from_the_cli(self, tmp_path):
         # 131,001 rows, so two windows on any host; the state passes 1e100

@@ -38,6 +38,7 @@ from cellstage._rng import SplitMix64
 mpmath.mp.dps = 50
 
 CANONICAL_MASSES = MassParams(0.5, 0.3, 0.2)  # x-effective 1.0, y-effective 0.5
+REST = StageState(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def reference_rk4_constant_input(m_eff, c, x0, v0, t_end, dt):
@@ -493,6 +494,52 @@ class TestSimulate:
             OverflowError, match=r"^state left \[-1e\+100, 1e\+100\] at step 1$"
         ):
             simulate(m, init, ZERO_WRENCH, 1e199, 1e200)
+
+    @pytest.mark.parametrize(
+        "m, init, w, dt, t_end, step",
+        [
+            # Alone, x leaves at step 105 under 1.06e99 and y at step 105
+            # under 1e99 (y_effective 0.5); x alone under 1e99 at step 110.
+            (CANONICAL_MASSES, REST, Wrench(taux=1.06e99, tauy=5e98), 0.1, 13.0, 105),
+            (CANONICAL_MASSES, REST, Wrench(taux=1e99, tauy=1e99), 0.1, 13.0, 105),
+            (CANONICAL_MASSES, REST, Wrench(taux=1.06e99, tauy=-1e99), 0.1, 13.0, 105),
+            # The other-axis twin of test_nan_state_trips_the_overflow_guard.
+            (MassParams(1e-12, 1e-12, 1e-12), StageState(0.0, 0.0, 0.0, 0.0, 1.0),
+             ZERO_WRENCH, 1e199, 1e200, 1),
+            (MassParams(0.5, 0.3, 0.1), REST, Wrench(tauy=1e99), 1e-3, 1000.0, 10_400),
+        ],
+        ids=["x-first", "y-first", "same-step", "y-nan", "y-past-a-round"],
+    )
+    def test_divergence_names_the_first_step_out(self, m, init, w, dt, t_end, step):
+        with pytest.raises(OverflowError) as raised:
+            simulate(m, init, w, dt, t_end)
+        assert str(raised.value) == f"state left [-1e+100, 1e+100] at step {step}"
+
+    def test_y_divergence_stops_x_within_a_round(self, monkeypatch):
+        # 10**6 steps asked, y out at step 10,400: the axes run in rounds,
+        # so x is not integrated to the horizon first.
+        m = MassParams(0.5, 0.3, 0.1)
+        x_steps = []
+        axis = _backend._rk4_axis
+
+        def counting(m_eff, c, poss, vels, dt, stop):
+            if m_eff == m.x_effective:
+                x_steps.append(stop - len(poss))
+            return axis(m_eff, c, poss, vels, dt, stop)
+
+        monkeypatch.setattr(_backend, "_rk4_axis", counting)
+        with pytest.raises(OverflowError, match=r" at step 10400$"):
+            simulate(m, REST, Wrench(tauy=1e99), 1e-3, 1000.0)
+        assert 10_400 <= sum(x_steps) <= 10_400 + _backend._ROUND_STEPS
+
+    @pytest.mark.parametrize(
+        "cx, cy", [(1.06e99, 5e98), (1e99, 1e99)], ids=["x-first", "y-first"]
+    )
+    def test_kernel_columns_stop_before_the_first_step_out(self, cx, cy):
+        # Both cases leave at step 105: the columns hold rows 0..104.
+        path = _backend.rk4_stage_path(1.0, 0.5, cx, cy, 0.0, 0.0, 0.0, 0.0, 0.1, 130)
+        assert [len(column) for column in path] == [105] * 4
+        assert all(abs(v) <= 1e100 for column in path for v in column)
 
     def test_step_cap_admits_a_horizon_of_exactly_the_cap(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MAX_STEPS", 10)

@@ -132,12 +132,12 @@ class TestMutationSensitivity:
         # Feeding k2 where RK4 takes k3 into the last stage drops the z^4/24
         # term of the step's growth factor on this linear ODE: halving dt
         # then cuts the error about 8x, not 16x.
-        source = inspect.getsource(_backend.rk4_stage_path)
-        mutant = source.replace("s4vx = vx + dt * k3vx", "s4vx = vx + dt * k2vx")
+        source = inspect.getsource(_backend._rk4_axis)
+        mutant = source.replace("s4 = vel + dt * k3", "s4 = vel + dt * k2")
         assert mutant != source
         namespace = dict(vars(_backend))
         exec(mutant, namespace)
-        monkeypatch.setattr(_backend, "rk4_stage_path", namespace["rk4_stage_path"])
+        monkeypatch.setattr(_backend, "_rk4_axis", namespace["_rk4_axis"])
         report = check_theorem("INTEGRATOR_ORDER", samples=40, seed=42)
         assert report.status == "fail"
         assert report.max_violation > report.tolerance
