@@ -135,8 +135,8 @@ class Trajectory:
     state (x[i], y[i], xdot[i], ydot[i]); first is 0 unless the trajectory
     is a window of a longer path. The columns are kept as given; a
     StageState is built only when a sample is indexed or iterated. Every
-    column value must be finite and the time column must be strictly
-    increasing.
+    column value must be finite and the time column must be finite and
+    strictly increasing.
     """
 
     __slots__ = ("t0", "dt", "x", "y", "xdot", "ydot", "first")
@@ -161,11 +161,20 @@ class Trajectory:
         self.ydot = ydot
         self.first = first
         t = self.times()
-        if not all(map(operator.lt, t, islice(t, 1, None))):
-            i = next(i for i in range(n - 1) if not t[i] < t[i + 1])
-            raise DomainError(
-                f"timestamps must be strictly increasing: {t[i]!r} -> {t[i + 1]!r}"
-            )
+        if not (
+            math.isfinite(t[0])
+            and math.isfinite(t[-1])
+            and all(map(operator.lt, t, islice(t, 1, None)))
+        ):
+            # Row by row, so a window of a path names the row the whole path
+            # would.
+            for i in range(n):
+                _require_finite(f"t[{first + i}]", t[i])
+                if i + 1 < n and not t[i] < t[i + 1]:
+                    raise DomainError(
+                        "timestamps must be strictly increasing: "
+                        f"{t[i]!r} -> {t[i + 1]!r}"
+                    )
 
     def times(self, start: int = 0, stop: int | None = None) -> list[float]:
         """The time column, for samples start..stop-1 (default: all)."""

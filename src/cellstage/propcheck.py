@@ -43,6 +43,7 @@ from . import dynamics, frames
 from ._rng import SplitMix64, property_stream
 from .errors import DomainError, UnknownPropertyError
 from .linalg2 import Vec2, determinant, inverse2, mat_mul, mat_vec_mul
+from .scenario import key_values
 
 DEFAULT_SAMPLES = 1000
 DEFAULT_SEED = 42
@@ -163,22 +164,6 @@ def sample_wrench(rng: SplitMix64) -> dynamics.Wrench:
     )
 
 
-def _calibration_inputs(c: frames.Calibration) -> dict:
-    return {"alpha": c.alpha, "dx": c.dx, "dy": c.dy, "fx": c.fx, "fy": c.fy}
-
-
-def _mass_inputs(m: dynamics.MassParams) -> dict:
-    return {"mx": m.mx, "my": m.my, "mp": m.mp}
-
-
-def _state_inputs(s: dynamics.StageState) -> dict:
-    return {"x0": s.x, "y0": s.y, "xd0": s.xdot, "yd0": s.ydot}
-
-
-def _wrench_inputs(w: dynamics.Wrench) -> dict:
-    return {"taux": w.taux, "tauy": w.tauy, "fexd": w.fexd, "feyd": w.feyd}
-
-
 # ---------------------------------------------------------------------------
 # property evaluators; each returns (violation, inputs)
 
@@ -196,7 +181,7 @@ def _check_camera_stage(rng: SplitMix64):
     want_yc = -p.x * sa + p.y * ca + c.dy
     denom = max(1.0, abs(p.x) + abs(p.y) + max(c.dx, c.dy))
     violation = max(abs(got.xc - want_xc), abs(got.yc - want_yc)) / denom
-    return violation, {**_calibration_inputs(c), "x": p.x, "y": p.y}
+    return violation, {**key_values("calibration", c), "x": p.x, "y": p.y}
 
 
 def _check_image_camera(rng: SplitMix64):
@@ -208,7 +193,7 @@ def _check_image_camera(rng: SplitMix64):
     want_v = c.fy * cp.yc
     denom = max(1.0, abs(want_u), abs(want_v))
     violation = max(abs(got.u - want_u), abs(got.v - want_v)) / denom
-    return violation, {**_calibration_inputs(c), "xc": cp.xc, "yc": cp.yc}
+    return violation, {**key_values("calibration", c), "xc": cp.xc, "yc": cp.yc}
 
 
 def _check_image_stage(rng: SplitMix64):
@@ -233,7 +218,7 @@ def _check_image_stage(rng: SplitMix64):
         abs(direct.u - affine_u) / denom_u,
         abs(direct.v - affine_v) / denom_v,
     )
-    return violation, {**_calibration_inputs(c), "x": p.x, "y": p.y}
+    return violation, {**key_values("calibration", c), "x": p.x, "y": p.y}
 
 
 def _check_homogeneous_solution(rng: SplitMix64):
@@ -249,7 +234,7 @@ def _check_homogeneous_solution(rng: SplitMix64):
     worst = dynamics.homogeneous_residual_maxnorm(
         m, init, _THM4_T_MAX, _THM4_GRID_POINTS
     )
-    return worst, {**_mass_inputs(m), **_state_inputs(init)}
+    return worst, {**key_values("masses", m), **key_values("initial", init)}
 
 
 def _check_image_dynamics(rng: SplitMix64):
@@ -276,11 +261,11 @@ def _check_image_dynamics(rng: SplitMix64):
     residual = dynamics.image_dynamics_residual(m, c, img_accel, img_vel, w)
     violation = residual.inf_norm() / (1.0 + w.inf_norm())
     return violation, {
-        **_mass_inputs(m),
-        **_calibration_inputs(c),
+        **key_values("masses", m),
+        **key_values("calibration", c),
         "xdot": vel.e1,
         "ydot": vel.e2,
-        **_wrench_inputs(w),
+        **key_values("wrench", w),
     }
 
 
@@ -302,7 +287,7 @@ def _check_inverse_identity(rng: SplitMix64):
         )
         denom = max(1.0, mat.inf_norm() ** 2 / abs(determinant(mat)))
         worst = max(worst, dev / denom)
-    return worst, {**_calibration_inputs(c), **_mass_inputs(m)}
+    return worst, {**key_values("calibration", c), **key_values("masses", m)}
 
 
 def _check_det_product(rng: SplitMix64):
@@ -316,7 +301,11 @@ def _check_det_product(rng: SplitMix64):
     db = determinant(b)
     dev = abs(determinant(mat_mul(a, b)) - da * db)
     violation = dev / max(1.0, abs(da * db))
-    return violation, {**_calibration_inputs(c), **_mass_inputs(m), "beta": beta}
+    return violation, {
+        **key_values("calibration", c),
+        **key_values("masses", m),
+        "beta": beta,
+    }
 
 
 def _check_matvec_linearity(rng: SplitMix64):
@@ -334,7 +323,7 @@ def _check_matvec_linearity(rng: SplitMix64):
     )
     violation = (lhs - rhs).inf_norm() / denom
     return violation, {
-        **_calibration_inputs(c),
+        **key_values("calibration", c),
         "u1": u.e1,
         "u2": u.e2,
         "v1": v.e1,
@@ -355,7 +344,7 @@ def _check_factorization(rng: SplitMix64):
     violation = (
         max(abs(x - y) for x, y in zip(direct, factored)) / denom
     )
-    return violation, _calibration_inputs(c)
+    return violation, key_values("calibration", c)
 
 
 def _check_det_scale(rng: SplitMix64):
@@ -363,7 +352,7 @@ def _check_det_scale(rng: SplitMix64):
     c = sample_calibration(rng)
     dev = abs(determinant(frames.transformation_matrix(c)) - c.fx * c.fy)
     violation = dev / max(1.0, c.fx * c.fy)
-    return violation, _calibration_inputs(c)
+    return violation, key_values("calibration", c)
 
 
 def _check_rotation_inverse(rng: SplitMix64):
@@ -392,7 +381,7 @@ def _check_round_trip(rng: SplitMix64):
     scale = t_inv.inf_norm() * (t_mat.inf_norm() * p.vec().inf_norm() + offset)
     denom = max(1.0, p.vec().inf_norm(), scale)
     violation = max(abs(back.x - p.x), abs(back.y - p.y)) / denom
-    return violation, {**_calibration_inputs(c), "x": p.x, "y": p.y}
+    return violation, {**key_values("calibration", c), "x": p.x, "y": p.y}
 
 
 def _check_derivative_fd(rng: SplitMix64):
@@ -414,7 +403,7 @@ def _check_derivative_fd(rng: SplitMix64):
         abs((x[1] - x[2]) / (2.0 * h) - xdot[0]),
         abs((y[1] - y[2]) / (2.0 * h) - ydot[0]),
     )
-    return violation, {**_mass_inputs(m), **_state_inputs(init), "t": t}
+    return violation, {**key_values("masses", m), **key_values("initial", init), "t": t}
 
 
 def _check_constant_input_reduction(rng: SplitMix64):
@@ -438,7 +427,7 @@ def _check_constant_input_reduction(rng: SplitMix64):
         abs(a.xdot - b.xdot) / max(1.0, abs(init.xdot)),
         abs(a.ydot - b.ydot) / max(1.0, abs(init.ydot)),
     )
-    return violation, {**_mass_inputs(m), **_state_inputs(init), "t": t}
+    return violation, {**key_values("masses", m), **key_values("initial", init), "t": t}
 
 
 def _integrator_step(m: dynamics.MassParams) -> float:
@@ -453,9 +442,11 @@ def _max_error_vs_analytic(
     dt: float,
     n_steps: int,
 ) -> float:
-    traj = dynamics.simulate(m, init, w, dt, (n_steps + 0.5) * dt)
-    exact = dynamics.constant_input_columns(m, init, w, traj.times())
-    got = (traj.x, traj.y, traj.xdot, traj.ydot)
+    """Max-norm gap between n_steps RK4 steps from init (at t = 0) and the
+    constant-input closed form at the same times i*dt."""
+    rows = n_steps + 1
+    got = dynamics._path(m, w, dt, (init.x, init.y, init.xdot, init.ydot), 0, rows)
+    exact = dynamics.constant_input_columns(m, init, w, [i * dt for i in range(rows)])
     return max(
         max(map(abs, map(operator.sub, column, want)))
         for column, want in zip(got, exact)
@@ -474,9 +465,9 @@ def _check_integrator_vs_analytic(rng: SplitMix64):
     dt = _integrator_step(m)
     violation = _max_error_vs_analytic(m, init, w, dt, _INTEGRATOR_STEPS)
     return violation, {
-        **_mass_inputs(m),
-        **_state_inputs(init),
-        **_wrench_inputs(w),
+        **key_values("masses", m),
+        **key_values("initial", init),
+        **key_values("wrench", w),
         "dt": dt,
     }
 
@@ -496,7 +487,7 @@ def _check_integrator_order(rng: SplitMix64):
     dt = min(m.x_effective, m.y_effective) / 8.0
     err_coarse = _max_error_vs_analytic(m, init, dynamics.ZERO_WRENCH, dt, 64)
     err_fine = _max_error_vs_analytic(m, init, dynamics.ZERO_WRENCH, dt / 2.0, 128)
-    inputs = {**_mass_inputs(m), **_state_inputs(init), "dt": dt}
+    inputs = {**key_values("masses", m), **key_values("initial", init), "dt": dt}
     if err_coarse < _ORDER_FLOOR or err_fine == 0.0:
         return 0.0, inputs
     ratio = err_coarse / err_fine

@@ -11,8 +11,9 @@ Grammar (ASCII text, one entry per line):
 Sections may appear in any order but each exactly once; every key is
 required, belongs to the section shown, and may not repeat; unknown keys
 and sections are rejected. Values are plain decimal or scientific-notation
-numbers ('nan'/'inf' are rejected). Blank lines and lines starting with
-'#' are ignored. `serialize_config` writes values with 17 significant
+numbers ('nan'/'inf' are rejected); scale-like values must be positive,
+and each mass at least dynamics.MIN_MASS. Blank lines and lines starting
+with '#' are ignored. `serialize_config` writes values with 17 significant
 digits, so parse -> serialize -> parse is lossless.
 """
 
@@ -22,16 +23,19 @@ import math
 import re
 from dataclasses import dataclass
 
-from .dynamics import MassParams, StageState, Wrench
-from .errors import DomainError, ParseError
+from .dynamics import MIN_MASS, MassParams, StageState, Wrench
+from .errors import ParseError
 from .frames import Calibration
 
-_SECTIONS: dict[str, tuple[str, ...]] = {
-    "masses": ("mx", "my", "mp"),
-    "calibration": ("alpha", "dx", "dy", "fx", "fy"),
-    "initial": ("x0", "y0", "xd0", "yd0"),
-    "wrench": ("taux", "tauy", "fexd", "feyd"),
-    "sim": ("dt", "t_end"),
+#: Every config key, by section in file order, with the field it sets: a
+#: field of the ScenarioConfig field named after the section, or for [sim] a
+#: field of ScenarioConfig itself. `verify` names drawn inputs by these keys.
+_SECTIONS: dict[str, dict[str, str]] = {
+    "masses": {"mx": "mx", "my": "my", "mp": "mp"},
+    "calibration": {"alpha": "alpha", "dx": "dx", "dy": "dy", "fx": "fx", "fy": "fy"},
+    "initial": {"x0": "x", "y0": "y", "xd0": "xdot", "yd0": "ydot"},
+    "wrench": {"taux": "taux", "tauy": "tauy", "fexd": "fexd", "feyd": "feyd"},
+    "sim": {"dt": "dt", "t_end": "t_end"},
 }
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
@@ -117,6 +121,10 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
                 lineno,
                 key,
             )
+        if current == "masses" and value < MIN_MASS:
+            raise ParseError(
+                f"{key} must be >= {MIN_MASS:g}, got {value!r}", lineno, key
+            )
         values[key] = value
         lines[key] = lineno
 
@@ -131,63 +139,30 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
                     key,
                 )
 
-    try:
-        return ScenarioConfig(
-            masses=MassParams(values["mx"], values["my"], values["mp"]),
-            calibration=Calibration(
-                alpha=values["alpha"],
-                dx=values["dx"],
-                dy=values["dy"],
-                fx=values["fx"],
-                fy=values["fy"],
-            ),
-            initial=StageState(
-                t=0.0,
-                x=values["x0"],
-                y=values["y0"],
-                xdot=values["xd0"],
-                ydot=values["yd0"],
-            ),
-            wrench=Wrench(
-                taux=values["taux"],
-                tauy=values["tauy"],
-                fexd=values["fexd"],
-                feyd=values["feyd"],
-            ),
-            dt=values["dt"],
-            t_end=values["t_end"],
-        )
-    except DomainError as exc:
-        # Leftover constructor-level violations (e.g. the minimum-mass guard).
-        key = _guess_key(str(exc))
-        raise ParseError(str(exc), lines.get(key, 0), key) from exc
+    def fields(section: str) -> dict[str, float]:
+        return {field: values[key] for key, field in _SECTIONS[section].items()}
+
+    return ScenarioConfig(
+        masses=MassParams(**fields("masses")),
+        calibration=Calibration(**fields("calibration")),
+        initial=StageState(t=0.0, **fields("initial")),
+        wrench=Wrench(**fields("wrench")),
+        **fields("sim"),
+    )
 
 
-def _guess_key(message: str) -> str | None:
-    first = message.split(" ", 1)[0]
-    for keys in _SECTIONS.values():
-        if first in keys:
-            return first
-    return None
+def key_values(section: str, value) -> dict[str, float]:
+    """Each config key of `section`, in file order, with its field of value."""
+    return {key: getattr(value, field) for key, field in _SECTIONS[section].items()}
 
 
 def serialize_config(config: ScenarioConfig) -> str:
     """Canonical text form; parses back to an equal ScenarioConfig."""
-    c = config.calibration
-    m = config.masses
-    i = config.initial
-    w = config.wrench
-    ordered = {
-        "masses": {"mx": m.mx, "my": m.my, "mp": m.mp},
-        "calibration": {"alpha": c.alpha, "dx": c.dx, "dy": c.dy, "fx": c.fx, "fy": c.fy},
-        "initial": {"x0": i.x, "y0": i.y, "xd0": i.xdot, "yd0": i.ydot},
-        "wrench": {"taux": w.taux, "tauy": w.tauy, "fexd": w.fexd, "feyd": w.feyd},
-        "sim": {"dt": config.dt, "t_end": config.t_end},
-    }
     chunks = []
-    for section, entries in ordered.items():
+    for section in _SECTIONS:
         chunks.append(f"[{section}]")
-        for key, value in entries.items():
+        source = config if section == "sim" else getattr(config, section)
+        for key, value in key_values(section, source).items():
             chunks.append(f"{key} = {value:.17g}")
         chunks.append("")
     return "\n".join(chunks)

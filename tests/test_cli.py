@@ -64,6 +64,12 @@ WIDE_IMAGE = (
 )
 
 
+#: Zero state and wrench, but 3 * dt rounds to inf: row 3 of 4 is at t = inf.
+OVERFLOWING_TIME = TRANSLATION_ONLY.replace(
+    "dt = 0.1", "dt = 5.992310449541053e+307"
+).replace("t_end = 1.0", "t_end = 1.7976931348623157e308")
+
+
 @pytest.fixture
 def fine_config(tmp_path):
     """The reference scenario at dt = 1e-4: 20,001 rows, five chunks."""
@@ -268,6 +274,18 @@ class TestSimulate:
         assert result.stderr.startswith("error: u[27327] must be finite, got inf")
         assert "Traceback" not in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cfg"]
+
+    def test_infinite_time_exits_2_and_leaves_out_untouched(self, tmp_path):
+        # 3 * dt rounds to inf, so the last of the 4 rows would be at t = inf.
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(OVERFLOWING_TIME)
+        out = tmp_path / "inf.csv"
+        out.write_text("previous contents\n")
+        result = run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr == "error: t[3] must be finite, got inf\n"
+        assert out.read_text() == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inf.cfg", "inf.csv"]
 
     def test_horizon_above_step_cap_exits_2_and_leaves_no_file(self, tmp_path):
         # dt = 0.5 and t_end = 0.5 * (MAX_STEPS + 1) are exact, so the
@@ -533,6 +551,19 @@ class TestWindows:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("windows", [1, 2, 3, 4])
+    def test_infinite_time_is_the_one_process_error(
+        self, windows, cpus, monkeypatch, tmp_path
+    ):
+        config = self.config(OVERFLOWING_TIME)
+        assert str(self.one_process_error(config)) == "t[3] must be finite, got inf"
+        monkeypatch.setattr(cli, "_csv_parts", lambda rows: windows)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        with pytest.raises(DomainError, match=r"^t\[3\] must be finite, got inf$"):
+            cli.cmd_simulate(config, str(tmp_path / "out.csv"))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("windows", [2, 3])
     @pytest.mark.parametrize(
         "replacements, step",
@@ -726,6 +757,41 @@ class TestFlatMemory:
         short = self.peak_rss_kb(tmp_path, 2 * window)
         long = self.peak_rss_kb(tmp_path, 6 * window)
         assert abs(long - short) <= 2 * 1024, (short, long)
+
+
+class TestFullDisk:
+    """`simulate` on a disk that fills up: a file size limit, set in the
+    CLI's process only, stops its writes partway."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("limit_mb", [1, 30])
+    def test_file_too_large_exits_2_and_leaves_out_untouched(
+        self, limit_mb, cpus, tmp_path
+    ):
+        # 315,001 rows of the reference scenario, about 56 MB of CSV. At 1 MB
+        # the workers' part writes and then this process's fallback fail; at
+        # 30 MB the parts are written and appending them fails.
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(
+            REFERENCE_CONFIG.read_text()
+            .replace("dt = 0.01", "dt = 0.0001")
+            .replace("t_end = 2.0", "t_end = 31.5")
+        )
+        out = tmp_path / "long.csv"
+        out.write_text("previous contents\n")
+
+        def limit():
+            os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:cpus])
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit_mb * 2**20,) * 2)
+
+        result = run_cli(
+            "simulate", "--config", str(cfg), "--out", str(out),
+            preexec_fn=limit, timeout=300,
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: [Errno 27] File too large\n"
+        assert out.read_text() == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["long.cfg", "long.csv"]
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import mpmath
@@ -612,6 +613,24 @@ class TestTrajectory:
         # t0 + dt rounds back to t0: the time column does not increase.
         with pytest.raises(DomainError, match="strictly increasing"):
             Trajectory(1e20, 1.0, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
+
+    #: 3 * OVERFLOWING_DT rounds to inf, so row 3 of a path is at t = inf.
+    OVERFLOWING_DT = 5.992310449541053e307
+
+    def test_rejects_an_infinite_time_naming_its_path_row(self):
+        zeros = [0.0] * 4
+        with pytest.raises(DomainError, match=r"^t\[3\] must be finite, got inf$"):
+            Trajectory(0.0, self.OVERFLOWING_DT, zeros, zeros, zeros, zeros)
+        # The same row as the second sample of a window from row 2.
+        zeros = [0.0] * 2
+        with pytest.raises(DomainError, match=r"^t\[3\] must be finite, got inf$"):
+            Trajectory(0.0, self.OVERFLOWING_DT, zeros, zeros, zeros, zeros, first=2)
+
+    def test_simulate_rejects_a_horizon_whose_last_time_overflows(self):
+        init = StageState(0.0, 0.0, 0.0, 0.0, 0.0)
+        dt = self.OVERFLOWING_DT
+        with pytest.raises(DomainError, match=r"^t\[3\] must be finite, got inf$"):
+            simulate(CANONICAL_MASSES, init, ZERO_WRENCH, dt, sys.float_info.max)
 
     @pytest.mark.parametrize("column", ["x", "y", "xdot", "ydot"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

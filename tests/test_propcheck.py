@@ -15,6 +15,8 @@ from cellstage.propcheck import (
     run_all,
 )
 
+from conftest import DATA_DIR
+
 # Small sample counts here; the full-scale runs live in the acceptance suite.
 FAST = 50
 
@@ -292,6 +294,15 @@ class TestReportFormat:
         # floats render in lossless 17-significant-digit form
         assert first == "THM1_CAMERA_STAGE fail 3 0.5 9.9999999999999998e-13 9"
         assert second == "counterexample sample_index=2 alpha=0.25"
+
+    def test_every_counterexample_matches_golden_fixture(self, monkeypatch):
+        # A tolerance of -1 fails every property, so each report carries its
+        # worst sample's inputs: the fixture pins every input name, the
+        # config key where one exists, and the order of the names.
+        failing = {pid: (-1.0, draws, fn) for pid, (_, draws, fn) in PROPERTIES.items()}
+        monkeypatch.setattr(propcheck, "PROPERTIES", failing)
+        text = "".join(format_report(report) + "\n" for report in run_all(25, 7))
+        assert text == (DATA_DIR / "counterexamples_seed7_samples25.txt").read_text()
 
 
 class TestSampleDomain:

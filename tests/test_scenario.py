@@ -95,8 +95,15 @@ class TestParseErrors:
         err = self.expect(VALID.replace("mx = 0.5", "mx = -1"), "mx must be positive")
         assert err.line == 2
 
-    def test_mass_below_floor(self):
-        self.expect(VALID.replace("mx = 0.5", "mx = 1e-13"), "mx must be >=", key="mx")
+    @pytest.mark.parametrize(
+        "entry, line", [("mx = 0.5", 2), ("my = 0.3", 3), ("mp = 0.2", 4)],
+        ids=["mx", "my", "mp"],
+    )
+    def test_mass_below_floor(self, entry, line):
+        key = entry.split(" = ")[0]
+        text = VALID.replace(entry, f"{key} = 1e-13")
+        message = rf"^line {line}: {key} must be >= 1e-12, got 1e-13$"
+        self.expect(text, message, line=line, key=key)
 
     def test_zero_displacement(self):
         self.expect(VALID.replace("dx = 1.0", "dx = 0.0"), "dx must be positive")
