@@ -25,6 +25,7 @@ number of processes, and there is no environment-variable configuration.
 from __future__ import annotations
 
 import argparse
+import errno
 import marshal
 import math
 import os
@@ -299,9 +300,13 @@ def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
     none is raised before the kernel has finished. The CSV goes to a
     temporary file beside out_path that replaces it once complete; on any
     failure the workers are killed and reaped, the temporary file is
-    removed and out_path is untouched.
+    removed and out_path is untouched. An out_path that names a directory
+    is an IsADirectoryError before any row is integrated.
     """
     rows = _row_count(config.initial, config.dt, config.t_end)
+    if out_path.endswith(os.sep) or os.path.isdir(out_path):
+        # What open(out_path, "w") raises, before the path is integrated.
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
     directory, name = os.path.split(os.path.abspath(out_path))
     tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

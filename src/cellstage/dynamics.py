@@ -40,6 +40,7 @@ from .linalg2 import (
     mat_vec_mul,
     _require_finite,
     _require_finite_column,
+    _require_positive,
 )
 
 #: Masses below this are rejected so exp(-t/M) stays evaluable.
@@ -64,9 +65,7 @@ class MassParams:
 
     def __post_init__(self):
         for name, value in (("mx", self.mx), ("my", self.my), ("mp", self.mp)):
-            _require_finite(name, value)
-            if not value > 0.0:
-                raise DomainError(f"{name} must be positive, got {value!r}")
+            _require_positive(name, value)
             if value < MIN_MASS:
                 raise DomainError(f"{name} must be >= {MIN_MASS:g}, got {value!r}")
 
@@ -298,12 +297,9 @@ def constant_input_columns(m: MassParams, init: StageState, w: Wrench, times):
     (x, y, xdot, ydot) and validates as homogeneous_columns does.
     """
     _require_solution_times(init, times)
-    x, xdot = _constant_input_axis(
-        m.x_effective, init.x, init.xdot, w.taux - w.fexd, times
-    )
-    y, ydot = _constant_input_axis(
-        m.y_effective, init.y, init.ydot, w.tauy - w.feyd, times
-    )
+    net = w.net_input()
+    x, xdot = _constant_input_axis(m.x_effective, init.x, init.xdot, net.e1, times)
+    y, ydot = _constant_input_axis(m.y_effective, init.y, init.ydot, net.e2, times)
     columns = (x, y, xdot, ydot)
     _require_finite_outputs(("x", "y", "xdot", "ydot"), columns)
     return columns
@@ -332,15 +328,10 @@ def analytic_constant_input_solution(
 def analytic_constant_input_acceleration(
     m: MassParams, init: StageState, w: Wrench, t: float
 ) -> Vec2:
-    """Exact second derivative of the constant-input closed form."""
-    _require_solution_times(init, (t,))
+    """Exact second derivative of the constant-input closed form at t."""
     net = w.net_input()
-    mx_eff = m.x_effective
-    my_eff = m.y_effective
-    return Vec2(
-        (net.e1 - init.xdot) / mx_eff * math.exp(-t / mx_eff),
-        (net.e2 - init.ydot) / my_eff * math.exp(-t / my_eff),
-    )
+    error = StageState(init.t, init.x, init.y, init.xdot - net.e1, init.ydot - net.e2)
+    return analytic_homogeneous_acceleration(m, error, t)
 
 
 def _row_count(init: StageState, dt: float, t_end: float) -> int:
@@ -348,10 +339,8 @@ def _row_count(init: StageState, dt: float, t_end: float) -> int:
 
     Raises DomainError on a bad step or horizon, or above MAX_STEPS steps.
     """
-    _require_finite("dt", dt)
+    _require_positive("dt", dt)
     _require_finite("t_end", t_end)
-    if not dt > 0.0:
-        raise DomainError(f"dt must be positive, got {dt!r}")
     if t_end < init.t:
         raise DomainError(f"t_end={t_end!r} precedes initial time {init.t!r}")
     span = (t_end - init.t) / dt

@@ -32,14 +32,9 @@ from itertools import repeat
 from math import isfinite
 from typing import Sequence
 
-from .errors import DomainError
-from .linalg2 import Mat2, Vec2, inverse2, _require_finite, _set_field
-
-
-def _require_positive(name: str, value: float) -> None:
-    _require_finite(name, value)
-    if not value > 0.0:
-        raise DomainError(f"{name} must be positive, got {value!r}")
+from .linalg2 import (
+    Mat2, Vec2, inverse2, _require_finite, _require_positive, _set_field
+)
 
 
 @dataclass(frozen=True)

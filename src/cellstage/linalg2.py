@@ -30,6 +30,12 @@ def _require_finite(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite, got {value!r}")
 
 
+def _require_positive(name: str, value: float) -> None:
+    _require_finite(name, value)
+    if not value > 0.0:
+        raise DomainError(f"{name} must be positive, got {value!r}")
+
+
 #: Stores a field of a frozen value type from its own `__init__`; bound once,
 #: which is cheaper than looking up `object.__setattr__` on every call.
 _set_field = object.__setattr__

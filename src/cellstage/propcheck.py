@@ -530,44 +530,44 @@ def _check_run_args(samples: int, seed: int) -> None:
         raise DomainError(f"seed must be in [0, 2^64), got {seed!r}")
 
 
-def _scan(property_id: str, seed: int, start: int, stop: int):
-    """Evaluate samples start..stop-1 (start < stop) of a registered property.
-
-    Returns (max_violation, index, inputs) of the worst sample: the first
-    unjudged one, which ends the scan, or else the first with the largest
-    violation. Sample i draws from the property's stream i * draws in, so
-    a range gives the same record whichever process scans it.
+def _merge(records):
+    """The worst (max_violation, index, inputs) of records in index order:
+    the first unjudged (NaN) one, after which no record is read, or else the
+    first with the largest violation. _scan and _report both merge with it.
     """
-    _, draws, evaluator = PROPERTIES[property_id]
-    rng = property_stream(seed, property_id, start * draws)
     worst = None
-    for index in range(start, stop):
-        try:
-            violation, inputs = evaluator(rng)
-        except Exception as exc:
-            violation, inputs = math.nan, {"error": type(exc).__name__}
-        unjudged = math.isnan(violation)
-        if unjudged or worst is None or violation > worst[0]:
-            worst = (violation, index, inputs)
-        if unjudged:
+    for record in records:
+        if worst is None or math.isnan(record[0]) or record[0] > worst[0]:
+            worst = record
+        if math.isnan(worst[0]):
             break
     return worst
 
 
-def _report(property_id: str, samples: int, seed: int, shares) -> PropertyReport:
-    """Merge the _scan records of consecutive ranges covering all samples.
-
-    The first range holding an unjudged sample wins; otherwise the largest
-    violation does, ties going to the lowest index. That is the record one
-    scan of every sample gives. Then the property's tolerance judges it.
+def _scan(property_id: str, seed: int, start: int, stop: int):
+    """_merge of samples start..stop-1 (start < stop) of a registered
+    property, each evaluated only when the merge reads it. Sample i draws
+    from the property's stream i * draws in, so a range gives the same
+    record whichever process scans it.
     """
-    worst = shares[0]
-    for share in shares[1:]:
-        if math.isnan(worst[0]):
-            break
-        if math.isnan(share[0]) or share[0] > worst[0]:
-            worst = share
-    max_violation, index, inputs = worst
+    _, draws, evaluator = PROPERTIES[property_id]
+    rng = property_stream(seed, property_id, start * draws)
+
+    def records():
+        for index in range(start, stop):
+            try:
+                violation, inputs = evaluator(rng)
+            except Exception as exc:
+                violation, inputs = math.nan, {"error": type(exc).__name__}
+            yield violation, index, inputs
+
+    return _merge(records())
+
+
+def _report(property_id: str, samples: int, seed: int, shares) -> PropertyReport:
+    """Judge the _merge of the _scan records of consecutive ranges covering
+    all samples (the record one scan gives) by the property's tolerance."""
+    max_violation, index, inputs = _merge(shares)
     tolerance = PROPERTIES[property_id][0]
     if max_violation <= tolerance:
         return PropertyReport(

@@ -1,16 +1,10 @@
 """Scenario configuration: the sectioned key-value file the CLI consumes.
 
-Grammar (ASCII text, one entry per line):
-
-    [masses]        mx my mp
-    [calibration]   alpha dx dy fx fy
-    [initial]       x0 y0 xd0 yd0
-    [wrench]        taux tauy fexd feyd
-    [sim]           dt t_end
-
+Grammar (ASCII text, one entry per line): a `[section]` header, then that
+section's `key = value` entries, for the sections and keys of `_SECTIONS`.
 Sections may appear in any order but each exactly once; every key is
-required, belongs to the section shown, and may not repeat; unknown keys
-and sections are rejected. Values are plain decimal or scientific-notation
+required, belongs to its section, and may not repeat; unknown keys and
+sections are rejected. Values are plain decimal or scientific-notation
 numbers ('nan'/'inf' are rejected); scale-like values must be positive,
 and each mass at least dynamics.MIN_MASS. Blank lines and lines starting
 with '#' are ignored. `serialize_config` writes values with 17 significant
@@ -27,31 +21,42 @@ from .dynamics import MIN_MASS, MassParams, StageState, Wrench
 from .errors import ParseError
 from .frames import Calibration
 
-#: Every config key, by section in file order, with the field it sets: a
-#: field of the ScenarioConfig field named after the section, or for [sim] a
-#: field of ScenarioConfig itself. `verify` names drawn inputs by these keys.
-_SECTIONS: dict[str, dict[str, str]] = {
-    "masses": {"mx": "mx", "my": "my", "mp": "mp"},
-    "calibration": {"alpha": "alpha", "dx": "dx", "dy": "dy", "fx": "fx", "fy": "fy"},
-    "initial": {"x0": "x", "y0": "y", "xd0": "xdot", "yd0": "ydot"},
-    "wrench": {"taux": "taux", "tauy": "tauy", "fexd": "fexd", "feyd": "feyd"},
-    "sim": {"dt": "dt", "t_end": "t_end"},
+#: Every config key, by section in file order, with the field it sets (of
+#: the ScenarioConfig field named after the section, or for [sim] of
+#: ScenarioConfig itself) and, if the key must be strictly positive, the
+#: reason shown when it is not. `verify` names drawn inputs by these keys.
+_SECTIONS: dict[str, dict[str, tuple[str, str | None]]] = {
+    "masses": {
+        "mx": ("mx", "mass of the x table"),
+        "my": ("my", "mass of the y table"),
+        "mp": ("mp", "mass of the working plate"),
+    },
+    "calibration": {
+        "alpha": ("alpha", None),
+        "dx": ("dx", "origin displacement"),
+        "dy": ("dy", "origin displacement"),
+        "fx": ("fx", "display resolution"),
+        "fy": ("fy", "display resolution"),
+    },
+    "initial": {
+        "x0": ("x", None),
+        "y0": ("y", None),
+        "xd0": ("xdot", None),
+        "yd0": ("ydot", None),
+    },
+    "wrench": {
+        "taux": ("taux", None),
+        "tauy": ("tauy", None),
+        "fexd": ("fexd", None),
+        "feyd": ("feyd", None),
+    },
+    "sim": {
+        "dt": ("dt", "integration step"),
+        "t_end": ("t_end", "simulation horizon"),
+    },
 }
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
-
-#: Keys that must be strictly positive, with the reason shown on violation.
-_POSITIVE_KEYS = {
-    "mx": "mass of the x table",
-    "my": "mass of the y table",
-    "mp": "mass of the working plate",
-    "dx": "origin displacement",
-    "dy": "origin displacement",
-    "fx": "display resolution",
-    "fy": "display resolution",
-    "dt": "integration step",
-    "t_end": "simulation horizon",
-}
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,10 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
         value = float(value_text)
         if not math.isfinite(value):
             raise ParseError(f"{key!r} overflows to {value!r}", lineno, key)
-        if key in _POSITIVE_KEYS and not value > 0.0:
+        reason = _SECTIONS[current][key][1]
+        if reason is not None and not value > 0.0:
             raise ParseError(
-                f"{key} must be positive ({_POSITIVE_KEYS[key]}), got {value_text}",
-                lineno,
-                key,
+                f"{key} must be positive ({reason}), got {value_text}", lineno, key
             )
         if current == "masses" and value < MIN_MASS:
             raise ParseError(
@@ -140,7 +144,7 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
                 )
 
     def fields(section: str) -> dict[str, float]:
-        return {field: values[key] for key, field in _SECTIONS[section].items()}
+        return {field: values[key] for key, (field, _) in _SECTIONS[section].items()}
 
     return ScenarioConfig(
         masses=MassParams(**fields("masses")),
@@ -153,7 +157,7 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
 
 def key_values(section: str, value) -> dict[str, float]:
     """Each config key of `section`, in file order, with its field of value."""
-    return {key: getattr(value, field) for key, field in _SECTIONS[section].items()}
+    return {key: getattr(value, field) for key, (field, _) in _SECTIONS[section].items()}
 
 
 def serialize_config(config: ScenarioConfig) -> str:

@@ -70,6 +70,15 @@ OVERFLOWING_TIME = TRANSLATION_ONLY.replace(
 ).replace("t_end = 1.0", "t_end = 1.7976931348623157e308")
 
 
+#: An --out beside an existing directory "outdir": the directory itself, and
+#: a new name that ends in a path separator.
+OUT_NAMES_A_DIRECTORY = pytest.mark.parametrize(
+    "name",
+    ["outdir", "new.csv" + os.sep],
+    ids=["existing_directory", "trailing_separator"],
+)
+
+
 @pytest.fixture
 def fine_config(tmp_path):
     """The reference scenario at dt = 1e-4: 20,001 rows, five chunks."""
@@ -310,17 +319,31 @@ class TestSimulate:
         assert "Traceback" not in result.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["capped.cfg"]
 
-    def test_out_is_directory_exits_2(self, translation_config, tmp_path):
+    @OUT_NAMES_A_DIRECTORY
+    def test_out_is_directory_exits_2(self, name, translation_config, tmp_path):
         target = tmp_path / "outdir"
         target.mkdir()
-        result = run_cli(
-            "simulate", "--config", str(translation_config), "--out", str(target)
-        )
+        out = os.path.join(tmp_path, name)
+        result = run_cli("simulate", "--config", str(translation_config), "--out", out)
         assert result.returncode == 2
-        assert result.stderr.startswith("error: ")
-        assert "Traceback" not in result.stderr
+        assert result.stderr == f"error: [Errno 21] Is a directory: {out!r}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "translation.cfg"]
         assert list(target.iterdir()) == []
+
+    @OUT_NAMES_A_DIRECTORY
+    def test_out_is_directory_fails_before_integrating(
+        self, name, fine_config, monkeypatch, tmp_path
+    ):
+        def no_path(*args):
+            raise AssertionError("integrated a path whose --out is a directory")
+
+        monkeypatch.setattr(cli, "_path", no_path)
+        (tmp_path / "outdir").mkdir()
+        out = os.path.join(tmp_path, name)
+        with pytest.raises(IsADirectoryError) as excinfo:
+            cli.cmd_simulate(parse_config(fine_config.read_bytes()), out)
+        assert str(excinfo.value) == f"[Errno 21] Is a directory: {out!r}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "outdir"]
 
     def test_config_is_directory_exits_2(self, tmp_path):
         result = run_cli(

@@ -11,18 +11,35 @@ Numerical Algorithms, 2nd ed., SIAM 2002, ch. 3). The `verify` tolerances
 are 1e-12, so a relative error of 1e-13 passes them; here it reads hundreds
 of ulps. The window seams of `cellstage simulate` rest on the RK4 step: a
 window resumes from the last state of the one before.
+
+For this model the whole RK4 path has a closed form too. With e0 = v0 - c,
+z = -dt/m and R = 1 + z + z^2/2 + z^3/6 + z^4/24 (the RK4 stability
+function), one step multiplies v - c by R and adds dt*c + dt*Q*(v - c) to
+the position, where 1 - R = -z*Q; so after n steps v_n = c + e0*R^n and
+pos_n = pos0 + n*dt*c + m*e0*(1 - R^n). Each step rounds at the size of its
+terms, and with |R| < 1 it carries earlier errors forward without growth,
+so every row of `simulate` and of the `cellstage simulate` CSV must lie
+within n eps of its term scale (|pos0| + n*dt*|c| + m*|e0| for positions,
+|c| + |e0| for velocities) of that closed form, evaluated in mpmath at 50
+digits. The worst row checked reads about 0.3 of that bound.
 """
 
+import dataclasses
 import math
 import operator
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from cellstage import _backend
+from cellstage import _backend, cli
+from cellstage.dynamics import MassParams, StageState, Wrench, simulate
 from cellstage.frames import Calibration, StagePoint, stage_to_image, transformation_matrix
 from cellstage.linalg2 import SINGULAR_EPS, Mat2, inverse2
+from cellstage.scenario import parse_config
+
+from conftest import REFERENCE_CONFIG
 
 ULPS = 8
 
@@ -139,3 +156,93 @@ def test_inverse2_is_within_8_ulps():
 @pytest.mark.parametrize("computed, ulps", [(1.0, 0), (math.nextafter(1.0, 2.0), 1)])
 def test_ulps_are_counted_at_the_scale(computed, ulps):
     assert ulps_off(computed, Fraction(1), Fraction(1)) == ulps
+
+
+#: Rows where a 4,096-step kernel round ends and the next begins, plus the
+#: first step.
+ROUND_ROWS = (1, 4095, 4096, 4097)
+
+
+def assert_exact_recurrence(got, state0, m_eff, c, dt):
+    """Each got[n], one axis' (pos, vel) at row n, is within n eps of its
+    term scale of the exact RK4 recurrence from state0."""
+    eps = mpmath.mpf(2) ** -52
+    with mpmath.workdps(50):
+        pos0, vel0, m, c, dt = map(mpmath.mpf, (*state0, m_eff, c, dt))
+        z = -dt / m
+        r = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        e0 = vel0 - c
+        for n, values in got.items():
+            rn = r**n
+            want = (pos0 + n * dt * c + m * e0 * (1 - rn), c + e0 * rn)
+            scale = (abs(pos0) + n * dt * abs(c) + m * abs(e0), abs(c) + abs(e0))
+            for computed, exact, size in zip(values, want, scale):
+                error = abs(mpmath.mpf(computed) - exact)
+                assert error <= n * eps * size, f"row {n}: {computed!r} vs {exact}"
+
+
+def random_case(rng: random.Random, undriven: str):
+    """Masses, start state, wrench and step of a random path; the axis
+    named by undriven has c = 0."""
+    m = MassParams(*(10 ** rng.uniform(-1.5, 0) for _ in range(3)))
+    x, y = (rng.uniform(-1, 1) for _ in range(2))
+    init = StageState(0.0, x, y, rng.uniform(-10, 10), rng.uniform(-10, 10))
+    taux, tauy, fexd, feyd = (rng.uniform(-10, 10) for _ in range(4))
+    if undriven == "x":
+        taux = fexd
+    else:
+        tauy = feyd
+    return m, init, Wrench(taux, tauy, fexd, feyd), 10 ** rng.uniform(-3, -2)
+
+
+def axes(m, init, w):
+    """(effective mass, start (pos, vel), c) of the x and then the y axis."""
+    net = w.net_input()
+    return (
+        (m.x_effective, (init.x, init.xdot), net.e1),
+        (m.y_effective, (init.y, init.ydot), net.e2),
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_simulate_rows_are_the_exact_recurrence(seed):
+    rng = random.Random(seed)
+    m, init, w, dt = random_case(rng, "xy"[seed % 2])
+    steps = 50_000
+    traj = simulate(m, init, w, dt, (steps + 0.5) * dt)
+    assert len(traj) == steps + 1
+    rows = (0, *ROUND_ROWS, 8192, 12_345, steps)
+    columns = ((traj.x, traj.xdot), (traj.y, traj.ydot))
+    for (m_eff, state0, c), (poss, vels) in zip(axes(m, init, w), columns):
+        got = {n: (poss[n], vels[n]) for n in rows}
+        assert_exact_recurrence(got, state0, m_eff, c, dt)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "window_rows, windows", [(65_536, 1), (4096, 2), (2731, 3), (2048, 4)]
+)
+def test_cli_rows_are_the_exact_recurrence(
+    window_rows, windows, cpus, monkeypatch, tmp_path
+):
+    # 8,191 rows: under two 4,096-row chunks, so the window count follows
+    # window_rows alone on both CPU counts.
+    steps = 8190
+    m, init, w, dt = random_case(random.Random(10 * windows + cpus), "y")
+    config = dataclasses.replace(
+        parse_config(REFERENCE_CONFIG.read_bytes()),
+        masses=m, initial=init, wrench=w, dt=dt, t_end=(steps + 0.5) * dt,
+    )
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_WINDOW_ROWS", window_rows)
+    out = tmp_path / "path.csv"
+    assert cli.cmd_simulate(config, str(out)) == 0
+    lines = out.read_text().splitlines()[1:]
+    # x, y, xdot, ydot of each row.
+    table = [list(map(float, line.split(",")[1:5])) for line in lines]
+    assert len(table) == steps + 1
+    bounds = [(steps + 1) * i // windows for i in range(1, windows)]
+    rows = {0, *ROUND_ROWS, steps, *(b + d for b in bounds for d in (-1, 0, 1))}
+    for axis, (m_eff, state0, c) in enumerate(axes(m, init, w)):
+        got = {n: (table[n][axis], table[n][2 + axis]) for n in rows}
+        assert_exact_recurrence(got, state0, m_eff, c, dt)

@@ -1,0 +1,24 @@
+"""The README's examples run as written."""
+
+import re
+
+from cellstage.scenario import parse_config
+
+from conftest import REFERENCE_CONFIG, REPO_ROOT
+
+
+def _blocks(language: str) -> list[str]:
+    text = (REPO_ROOT / "README.md").read_text()
+    return re.findall(rf"^```{language}\n(.*?)^```$", text, re.DOTALL | re.MULTILINE)
+
+
+def test_every_config_example_is_the_reference_config():
+    blocks = _blocks("ini")
+    assert blocks
+    for block in blocks:
+        assert parse_config(block) == parse_config(REFERENCE_CONFIG.read_bytes())
+
+
+def test_library_example_runs():
+    (block,) = _blocks("python")
+    exec(compile(block, "README.md", "exec"), {})
