@@ -3,7 +3,20 @@
 One pure-Python implementation, written once for one axis. `dynamics._path`
 looks up `rk4_stage_path` on this module at call time. `kernel_backend()`
 is kept because the `cellbench` benchmark records it with every run.
+
+Each axis' velocity update reads only the velocity, so once a step returns
+its velocity bit for bit, every later step does too and adds the same
+increment to the position. Each round of an axis therefore starts with one
+RK4 step of its first velocity; if that velocity is a fixed point, the rest
+of the round repeats it and sums the step's increment without further RK4
+arithmetic (the tail), otherwise the full loop runs. The bits are the same
+either way.
 """
+
+from bisect import bisect_right
+from itertools import accumulate, islice, repeat
+from math import copysign
+from operator import neg
 
 #: A state component beyond this magnitude means the configuration diverged.
 OVERFLOW_LIMIT = 1e100
@@ -49,10 +62,41 @@ def _rk4_axis(m_eff, c, poss, vels, dt, stop):
         append_vel(vel)
 
 
+def _rk4_round(m_eff, c, poss, vels, dt, stop):
+    """_rk4_axis, with no RK4 arithmetic past a fixed point of the velocity.
+
+    One _rk4_axis step of vels[-1] from position -0.0, the additive
+    identity, gives the next velocity and the position increment the loop
+    adds for vels[-1]. If that velocity is vels[-1] in value and sign, every
+    later step repeats it, so the lists are extended by repeating it and by
+    adding the increment in the loop's order, cut before the first position
+    out of +-OVERFLOW_LIMIT (positions with one increment are monotone).
+    Otherwise _rk4_axis extends them.
+    """
+    vel = vels[-1]
+    probe_poss = [-0.0]
+    probe_vels = [vel]
+    _rk4_axis(m_eff, c, probe_poss, probe_vels, dt, 2)
+    fixed = len(probe_vels) == 2 and probe_vels[1] == vel
+    # -0.0 == 0.0, so the signs are compared too.
+    if not (fixed and copysign(1.0, probe_vels[1]) == copysign(1.0, vel)):
+        _rk4_axis(m_eff, c, poss, vels, dt, stop)
+        return
+    inc = probe_poss[1]
+    start = len(poss)
+    sums = accumulate(repeat(inc, stop - start), initial=poss[-1])
+    poss.extend(islice(sums, 1, None))
+    high = OVERFLOW_LIMIT
+    if not -high <= poss[-1] <= high:
+        key = None if inc > 0.0 else neg  # ascending, else descending
+        del poss[bisect_right(poss, high, start, key=key) :]
+    vels.extend(repeat(vel, len(poss) - start))
+
+
 def rk4_stage_path(mx_eff, my_eff, cx, cy, x0, y0, vx0, vy0, dt, n_steps):
     """Classical fixed-step RK4 for the decoupled 2-DOF stage equations.
 
-    Integrates each axis with _rk4_axis for n_steps steps of size dt.
+    Integrates each axis with _rk4_round for n_steps steps of size dt.
     Returns four lists (x, y, vx, vy), sample 0 being the initial state.
     They hold n_steps + 1 samples, or, if the state diverged, the samples
     before the first step at which any component exceeds OVERFLOW_LIMIT or
@@ -66,8 +110,8 @@ def rk4_stage_path(mx_eff, my_eff, cx, cy, x0, y0, vx0, vy0, dt, n_steps):
     # In rounds, so that y diverging early stops x early too.
     while len(ys) < rows:
         goal = min(len(ys) + _ROUND_STEPS, rows)
-        _rk4_axis(mx_eff, cx, xs, vxs, dt, goal)
-        _rk4_axis(my_eff, cy, ys, vys, dt, len(xs))
+        _rk4_round(mx_eff, cx, xs, vxs, dt, goal)
+        _rk4_round(my_eff, cy, ys, vys, dt, len(xs))
         if len(ys) < goal:
             break
     del xs[len(ys):], vxs[len(ys):]

@@ -14,12 +14,14 @@ CSV. It streams the path in windows of at most 65,536 rows, so its memory
 does not grow with the horizon: it integrates each window from the last
 row of the one before while forked workers, at most one per usable CPU,
 render the windows already integrated (one process on one usable CPU and
-for outputs under two 4,096-row chunks). `verify` forks once per run, one
-worker per usable CPU (at most one per sample), splits every property's
-samples among them and streams each report line as soon as its ranges are
-merged. Both fork through one helper, `_Workers`, and neither's bytes
-depend on how many processes ran. No flag or environment variable sets the
-number of processes, and there is no environment-variable configuration.
+for outputs under two 4,096-row chunks). A render chunk of 1,024 rows
+formats any column but time whose values all have the same bits once, into
+its row template. `verify` forks once per run, one worker per usable CPU
+(at most one per sample), splits every property's samples among them and
+streams each report line as soon as its ranges are merged. Both fork
+through one helper, `_Workers`, and neither's bytes depend on how many
+processes ran. No flag or environment variable sets the number of
+processes, and there is no environment-variable configuration.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import os
 import signal
 import sys
 from collections import deque
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 from . import propcheck
@@ -61,9 +63,6 @@ def _load_config(path: str) -> ScenarioConfig:
     return parse_config(Path(path).read_bytes())
 
 
-#: One CSV row: every field with 17 significant digits.
-_CSV_ROW = ",".join(["%.17g"] * 9) + "\n"
-
 #: Rows rendered and written at a time.
 _RENDER_ROWS = 1024
 
@@ -82,9 +81,10 @@ def render_trajectory_csv(
     """CSV text with stage, camera, and image coordinates per sample.
 
     Renders samples start..stop-1 (all by default); the header line leads
-    when the first of them is row 0 of the path. Raises DomainError if a
-    camera or image coordinate is not finite, naming the first such row of
-    the path.
+    when the first of them is row 0 of the path. A column other than time
+    whose values all have the same bits is formatted once, into the row
+    template, which gives the same bytes. Raises DomainError if a camera or
+    image coordinate is not finite, naming the first such row of the path.
     """
     rows = slice(start, stop)
     x = traj.x[rows]
@@ -97,10 +97,30 @@ def render_trajectory_csv(
         for row, values in enumerate(zip(xc, yc, u, v), traj.first + start):
             for name, value in zip(("xc", "yc", "u", "v"), values):
                 _require_finite(f"{name}[{row}]", value)
-    t = traj.times(start, stop)
-    columns = (t, x, y, traj.xdot[rows], traj.ydot[rows], xc, yc, u, v)
-    body = "".join(map(_CSV_ROW.__mod__, zip(*columns)))
+    # Time is never folded: zip over no columns would give no rows.
+    varying = [traj.times(start, stop)]
+    fields = ["%.17g"]
+    for column in (x, y, traj.xdot[rows], traj.ydot[rows], xc, yc, u, v):
+        if _constant(column):
+            fields.append("%.17g" % column[0])
+        else:
+            fields.append("%.17g")
+            varying.append(column)
+    row = ",".join(fields) + "\n"
+    body = "".join(map(row.__mod__, zip(*varying)))
     return CSV_HEADER + "\n" + body if traj.first + start == 0 else body
+
+
+def _constant(column) -> bool:
+    """True if the column is not empty and every value has the bits of the
+    first, so that %.17g of the first is every row's field."""
+    if not column or column[-1] != column[0]:
+        return False
+    first = column[0]
+    if column.count(first) != len(column):
+        return False
+    # -0.0 == 0.0 but prints as -0.
+    return first != 0.0 or len(set(map(math.copysign, repeat(1.0), column))) == 1
 
 
 def _usable_cpus() -> int:

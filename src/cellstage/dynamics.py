@@ -312,9 +312,16 @@ def analytic_homogeneous_solution(m: MassParams, init: StageState, t: float) -> 
 
 
 def analytic_homogeneous_acceleration(m: MassParams, init: StageState, t: float) -> Vec2:
-    """Exact second derivative of the zero-input closed form at t."""
-    columns = homogeneous_columns(m, init, [t])
-    return Vec2(columns[4][0], columns[5][0])
+    """Exact second derivative of the zero-input closed form at t.
+
+    Validates as homogeneous_columns does, but checks only the two values
+    it returns, so a position that overflows does not hide it.
+    """
+    _require_solution_times(init, [t])
+    _, _, xddot = _homogeneous_axis(m.x_effective, init.x, init.xdot, [t])
+    _, _, yddot = _homogeneous_axis(m.y_effective, init.y, init.ydot, [t])
+    _require_finite_outputs(("xddot", "yddot"), (xddot, yddot))
+    return Vec2(xddot[0], yddot[0])
 
 
 def analytic_constant_input_solution(

@@ -496,6 +496,86 @@ def _open_fds() -> set[str]:
     return set(os.listdir("/proc/self/fd"))
 
 
+#: The writer's row before constant columns were folded: nine %.17g fields.
+ONE_TEMPLATE_ROW = ",".join(["%.17g"] * 9) + "\n"
+
+
+def one_template_render(traj, config):
+    """The CSV text of traj as one template per row renders it, in one piece."""
+    xc, yc = frames.stage_to_camera_columns(traj.x, traj.y, config.calibration)
+    u, v = frames.stage_to_image_columns(traj.x, traj.y, config.calibration)
+    columns = (traj.times(), traj.x, traj.y, traj.xdot, traj.ydot, xc, yc, u, v)
+    body = "".join(ONE_TEMPLATE_ROW % row for row in zip(*columns))
+    return cli.CSV_HEADER + "\n" + body if traj.first == 0 else body
+
+
+class TestConstantColumns:
+    """A column constant over a render chunk is formatted once for the chunk;
+    the bytes are those of one template per row."""
+
+    @pytest.fixture(autouse=True)
+    def every_worker_reaped(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def simulated(text, tmp_path):
+        """(cellstage simulate's CSV, the one-template render) of config text."""
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "case.csv"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        config = parse_config(text.encode())
+        traj = simulate(
+            config.masses, config.initial, config.wrench, config.dt, config.t_end
+        )
+        return out.read_text(), one_template_render(traj, config)
+
+    def test_a_last_chunk_of_one_row_is_written(self, tmp_path):
+        # 1,025 rows: the second 1,024-row chunk holds one row, in which
+        # every column but time is constant.
+        text = REFERENCE_CONFIG.read_text().replace("t_end = 2.0", "t_end = 10.24")
+        got, want = self.simulated(text, tmp_path)
+        assert got.count("\n") == 1 + 1025
+        assert got == want
+
+    def test_undriven_run_from_rest(self, tmp_path):
+        # Every non-time column is constant in every chunk, over 2 windows
+        # of 2 chunks or more.
+        text = TRANSLATION_ONLY.replace("t_end = 1.0", "t_end = 900.0")
+        got, want = self.simulated(text, tmp_path)
+        assert got.count("\n") == 1 + 9001
+        assert got == want
+
+    def test_zeros_of_both_signs_in_one_chunk(self):
+        config = parse_config(TRANSLATION_ONLY.encode())
+        n = 40
+        columns = {name: [0.0] * n for name in ("x", "y", "xdot", "ydot")}
+        columns["x"][-1] = -0.0
+        columns["xdot"][n // 2] = -0.0
+        columns["ydot"] = [-0.0] * n
+        traj = Trajectory(0.0, 0.1, **columns)
+        want = one_template_render(traj, config)
+        assert ",-0," in want and ",0," in want
+        assert cli.render_trajectory_csv(traj, config) == want
+        for start, stop in ((0, 20), (19, 21), (n - 1, n), (0, n)):
+            rows = (column[start:stop] for column in columns.values())
+            window = Trajectory(0.0, 0.1, *rows, first=start)
+            assert cli.render_trajectory_csv(traj, config, start, stop) == (
+                one_template_render(window, config)
+            )
+
+    def test_constant_needs_equal_bits(self):
+        assert cli._constant([2.5, 2.5, 2.5])
+        assert cli._constant([-0.0, -0.0])
+        assert cli._constant([7.0])
+        assert not cli._constant([])
+        assert not cli._constant([0.0, -0.0])
+        assert not cli._constant([-0.0, 0.0, -0.0])
+        assert not cli._constant([1.0, 2.0, 1.0])
+
+
 class TestWindows:
     """`simulate` integrates in windows beside forked renderers; errors and
     leftovers are those of one process."""

@@ -303,6 +303,28 @@ class TestClosedFormColumns:
         with pytest.raises(DomainError, match=r"x must be finite, got inf"):
             analytic_constant_input_solution(CANONICAL_MASSES, init, w, 1e308)
 
+    def test_acceleration_ignores_the_positions_it_does_not_return(self):
+        # vel0 * M = 1e310 makes x inf, but the acceleration is about -1e290.
+        m = MassParams(1e10, 1.0, 1.0)
+        init = StageState(0.0, 0.0, 0.0, 1e300, 0.0)
+        mx_eff, my_eff = m.x_effective, m.y_effective
+        want_x = -(1e300 / mx_eff) * math.exp(-1.0 / mx_eff)
+        accel = analytic_homogeneous_acceleration(m, init, 1.0)
+        assert (accel.e1, accel.e2) == (want_x, -0.0)
+        w = Wrench(tauy=-3.0)
+        want_y = -(3.0 / my_eff) * math.exp(-1.0 / my_eff)
+        accel = analytic_constant_input_acceleration(m, init, w, 1.0)
+        assert (accel.e1, accel.e2) == (want_x, want_y)
+
+    def test_overflowing_acceleration_raises_domain_error(self):
+        # vel0 / M overflows to inf on 1e-12 kg masses.
+        m = MassParams(1e-12, 1e-12, 1e-12)
+        init = StageState(0.0, 0.0, 0.0, 1e300, 0.0)
+        with pytest.raises(DomainError, match=r"^xddot must be finite, got -inf$"):
+            analytic_homogeneous_acceleration(m, init, 0.0)
+        with pytest.raises(DomainError, match=r"^xddot must be finite, got -inf$"):
+            analytic_constant_input_acceleration(m, init, ZERO_WRENCH, 0.0)
+
     def test_empty_column_gives_empty_columns(self):
         init = StageState(0.0, 0.0, 0.0, 1.0, 1.0)
         assert homogeneous_columns(CANONICAL_MASSES, init, []) == ([],) * 6
@@ -518,20 +540,22 @@ class TestSimulate:
 
     def test_y_divergence_stops_x_within_a_round(self, monkeypatch):
         # 10**6 steps asked, y out at step 10,400: the axes run in rounds,
-        # so x is not integrated to the horizon first.
+        # so x is not integrated to the horizon first. x at rest takes the
+        # fixed-point tail, so its rows are counted, not its RK4 steps.
         m = MassParams(0.5, 0.3, 0.1)
-        x_steps = []
-        axis = _backend._rk4_axis
+        x_rows = []
+        axis_round = _backend._rk4_round
 
         def counting(m_eff, c, poss, vels, dt, stop):
+            before = len(poss)
+            axis_round(m_eff, c, poss, vels, dt, stop)
             if m_eff == m.x_effective:
-                x_steps.append(stop - len(poss))
-            return axis(m_eff, c, poss, vels, dt, stop)
+                x_rows.append(len(poss) - before)
 
-        monkeypatch.setattr(_backend, "_rk4_axis", counting)
+        monkeypatch.setattr(_backend, "_rk4_round", counting)
         with pytest.raises(OverflowError, match=r" at step 10400$"):
             simulate(m, REST, Wrench(tauy=1e99), 1e-3, 1000.0)
-        assert 10_400 <= sum(x_steps) <= 10_400 + _backend._ROUND_STEPS
+        assert 10_400 <= sum(x_rows) <= 10_400 + _backend._ROUND_STEPS
 
     @pytest.mark.parametrize(
         "cx, cy", [(1.06e99, 5e98), (1e99, 1e99)], ids=["x-first", "y-first"]
