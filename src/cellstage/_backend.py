@@ -13,10 +13,8 @@ arithmetic (the tail), otherwise the full loop runs. The bits are the same
 either way.
 """
 
-from bisect import bisect_right
 from itertools import accumulate, islice, repeat
 from math import copysign
-from operator import neg
 
 #: A state component beyond this magnitude means the configuration diverged.
 OVERFLOW_LIMIT = 1e100
@@ -69,9 +67,10 @@ def _rk4_round(m_eff, c, poss, vels, dt, stop):
     identity, gives the next velocity and the position increment the loop
     adds for vels[-1]. If that velocity is vels[-1] in value and sign, every
     later step repeats it, so the lists are extended by repeating it and by
-    adding the increment in the loop's order, cut before the first position
-    out of +-OVERFLOW_LIMIT (positions with one increment are monotone).
-    Otherwise _rk4_axis extends them.
+    adding the increment in the loop's order. Positions with one increment
+    are monotone, so if the first and last new positions are within
+    +-OVERFLOW_LIMIT, all are; otherwise, and if the velocity is not fixed,
+    _rk4_axis extends the lists, stopping where its loop stops.
     """
     vel = vels[-1]
     probe_poss = [-0.0]
@@ -79,18 +78,19 @@ def _rk4_round(m_eff, c, poss, vels, dt, stop):
     _rk4_axis(m_eff, c, probe_poss, probe_vels, dt, 2)
     fixed = len(probe_vels) == 2 and probe_vels[1] == vel
     # -0.0 == 0.0, so the signs are compared too.
-    if not (fixed and copysign(1.0, probe_vels[1]) == copysign(1.0, vel)):
-        _rk4_axis(m_eff, c, poss, vels, dt, stop)
-        return
-    inc = probe_poss[1]
-    start = len(poss)
-    sums = accumulate(repeat(inc, stop - start), initial=poss[-1])
-    poss.extend(islice(sums, 1, None))
-    high = OVERFLOW_LIMIT
-    if not -high <= poss[-1] <= high:
-        key = None if inc > 0.0 else neg  # ascending, else descending
-        del poss[bisect_right(poss, high, start, key=key) :]
-    vels.extend(repeat(vel, len(poss) - start))
+    if fixed and copysign(1.0, probe_vels[1]) == copysign(1.0, vel):
+        start = len(poss)
+        sums = accumulate(repeat(probe_poss[1], stop - start), initial=poss[-1])
+        poss.extend(islice(sums, 1, None))
+        high = OVERFLOW_LIMIT
+        if start == len(poss) or (
+            -high <= poss[start] <= high and -high <= poss[-1] <= high
+        ):
+            vels.extend(repeat(vel, len(poss) - start))
+            return
+        # The state leaves the range in this round, which ends the run.
+        del poss[start:]
+    _rk4_axis(m_eff, c, poss, vels, dt, stop)
 
 
 def rk4_stage_path(mx_eff, my_eff, cx, cy, x0, y0, vx0, vy0, dt, n_steps):

@@ -127,6 +127,8 @@ class TestTailMatchesTheLoop:
     def test_huge_inputs_leave_inside_a_tail(self, sign, n_steps, steps_asked):
         # v = c = +-1e99 is a fixed point from the start, so an axis that
         # carries it leaves +-1e100 inside its tail, after about 100 steps.
+        # That round alone is run again by the loop, which stops where the
+        # state leaves; every other call is a one-step probe.
         big = sign * 1e99
         for args in (
             (1.0, 0.5, big, -big, 0.0, 0.0, big, -big, 0.1, n_steps),
@@ -136,7 +138,28 @@ class TestTailMatchesTheLoop:
             steps_asked.clear()
             got = _backend.rk4_stage_path(*args)
             assert bits(got) == bits(reference_path(*args))
-            assert sum(steps_asked) < len(got[0]) - 1
+            assert len([steps for steps in steps_asked if steps > 1]) <= 1
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 5, ROUND + 3])
+    @pytest.mark.parametrize(
+        "pos, vel, dt",
+        [
+            (2e100, 0.0, 0.1),
+            (-2e100, 0.0, 0.1),
+            (-2e100, 1.0, 0.1),
+            (2e100, -1.0, 0.1),
+            # Starts out, steps in at -5e99, leaves again at 1.5e100.
+            (-1.5e100, 1e100, 1.0),
+        ],
+    )
+    def test_positions_out_of_range_from_the_start(self, pos, vel, dt, n_steps):
+        # v = c is a fixed point from row 0, so only the positions leave.
+        for args in (
+            (1.0, 0.5, vel, 0.0, pos, 0.0, vel, 0.0, dt, n_steps),
+            (1.0, 0.5, 0.0, vel, 0.0, pos, 0.0, vel, dt, n_steps),
+        ):
+            got = _backend.rk4_stage_path(*args)
+            assert bits(got) == bits(reference_path(*args))
 
     @pytest.mark.parametrize("axis", [DRIVEN, UNDRIVEN], ids=["driven", "undriven"])
     @pytest.mark.parametrize(

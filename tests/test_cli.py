@@ -685,8 +685,11 @@ class TestWindows:
             # kernel round.
             ({"mp = 0.2": "mp = 0.1", "tauy = 0.0": "tauy = 1e99", "dt = 0.1": "dt = 1e-3",
               "t_end = 1.0": "t_end = 12.0"}, 10_400),
+            # x at rest out of range from the start.
+            ({"x0 = 0.0": "x0 = 2e100"}, 1),
         ],
-        ids=["x-first", "y-first", "same-step", "y-nan", "y-past-a-round"],
+        ids=["x-first", "y-first", "same-step", "y-nan", "y-past-a-round",
+             "x-starts-out"],
     )
     def test_divergence_step_does_not_depend_on_windows(
         self, replacements, step, windows, cpus, monkeypatch, tmp_path

@@ -530,8 +530,17 @@ class TestSimulate:
             (MassParams(1e-12, 1e-12, 1e-12), StageState(0.0, 0.0, 0.0, 0.0, 1.0),
              ZERO_WRENCH, 1e199, 1e200, 1),
             (MassParams(0.5, 0.3, 0.1), REST, Wrench(tauy=1e99), 1e-3, 1000.0, 10_400),
+            # Positions out of range from the start, with velocities that
+            # are fixed points: the first step's position is out too.
+            (CANONICAL_MASSES, StageState(0.0, 2e100, 0.0, 0.0, 0.0), ZERO_WRENCH,
+             0.1, 1.0, 1),
+            (CANONICAL_MASSES, StageState(0.0, 0.0, -2e100, 0.0, 0.0), ZERO_WRENCH,
+             0.1, 1.0, 1),
+            (CANONICAL_MASSES, StageState(0.0, -2e100, 0.0, 1.0, 0.0), Wrench(taux=1.0),
+             0.1, 1.0, 1),
         ],
-        ids=["x-first", "y-first", "same-step", "y-nan", "y-past-a-round"],
+        ids=["x-first", "y-first", "same-step", "y-nan", "y-past-a-round",
+             "x-starts-out", "y-starts-out", "x-starts-out-moving-in"],
     )
     def test_divergence_names_the_first_step_out(self, m, init, w, dt, t_end, step):
         with pytest.raises(OverflowError) as raised:
