@@ -9,8 +9,9 @@ its velocity bit for bit, every later step does too and adds the same
 increment to the position. Each round of an axis therefore starts with one
 RK4 step of its first velocity; if that velocity is a fixed point, the rest
 of the round repeats it and sums the step's increment without further RK4
-arithmetic (the tail), otherwise the full loop runs. The bits are the same
-either way.
+arithmetic (the tail), otherwise the full loop runs. A tail whose
+positions leave +-OVERFLOW_LIMIT is run again by the loop, so a divergence
+stops at the loop's own step. The bits are the same either way.
 """
 
 from itertools import accumulate, islice, repeat
