@@ -320,16 +320,27 @@ def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
     none is raised before the kernel has finished. The CSV goes to a
     temporary file beside out_path that replaces it once complete; on any
     failure the workers are killed and reaped, the temporary file is
-    removed and out_path is untouched. An out_path that names a directory
-    is an IsADirectoryError before any row is integrated.
+    removed and out_path is untouched. An out_path that is empty, names a
+    directory or lies where the temporary file cannot be made raises an
+    OSError naming out_path before any row is integrated: for the first
+    two, and for a missing parent directory, the one open(out_path, "w")
+    raises.
     """
     rows = _row_count(config.initial, config.dt, config.t_end)
+    # Each check raises what open(out_path, "w") raises, before the path is
+    # integrated.
     if out_path.endswith(os.sep) or os.path.isdir(out_path):
-        # What open(out_path, "w") raises, before the path is integrated.
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
+    if not out_path:
+        # Its temporary file would go beside the working directory.
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
     directory, name = os.path.split(os.path.abspath(out_path))
     tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        # A missing or unusable directory: name out_path, not the hidden file.
+        raise OSError(exc.errno, exc.strerror, out_path) from None
     try:
         with open(fd, "w", newline="\n") as handle:
             _write_windows(handle, fd, config, rows, tmp_path)

@@ -20,7 +20,10 @@ raises DomainError naming the coordinate, and the CSV writer
 (`cli.render_trajectory_csv`) names the first bad row.
 
 The three point types are deliberately distinct so a frame mix-up is a type
-error rather than a silent bug.
+error rather than a silent bug. Like Vec2 and Mat2 (see `linalg2`), they
+are slotted frozen dataclasses whose `__init__` checks the fields and
+stores each through its own slot's setter; a Calibration keeps its
+`__dict__`, which holds the cached coefficients.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from math import isfinite
 from typing import Sequence
 
 from .linalg2 import (
-    Mat2, Vec2, inverse2, _require_finite, _require_positive, _set_field
+    Mat2, Vec2, inverse2, _getstate, _require_finite, _require_positive, _setstate
 )
 
 
@@ -88,7 +91,8 @@ class Calibration:
 
     @cached_property
     def _to_stage(self) -> tuple[float, ...]:
-        """T(c)^-1, no offset: image_to_stage subtracts (fx*dx, fy*dy) first."""
+        """T(c)^-1, no offset: image_to_stage first subtracts the offset
+        (fx*dx, fy*dy) of `_to_image`."""
         t_inv = inverse2(transformation_matrix(self))
         return (t_inv.a11, t_inv.a12, t_inv.a21, t_inv.a22, _NO_OFFSET, _NO_OFFSET)
 
@@ -97,6 +101,7 @@ class Calibration:
 class StagePoint:
     """A point in the stage frame (stage-length units)."""
 
+    __slots__ = ("x", "y")
     x: float
     y: float
 
@@ -104,17 +109,25 @@ class StagePoint:
         if not (isfinite(x) and isfinite(y)):
             _require_finite("x", x)
             _require_finite("y", y)
-        _set_field(self, "x", x)
-        _set_field(self, "y", y)
+        _set_x(self, x)
+        _set_y(self, y)
+
+    __getstate__ = _getstate
+    __setstate__ = _setstate
 
     def vec(self) -> Vec2:
         return Vec2(self.x, self.y)
+
+
+#: The slot setters of StagePoint's fields, which its `__init__` stores through.
+_set_x, _set_y = StagePoint.x.__set__, StagePoint.y.__set__
 
 
 @dataclass(frozen=True, init=False)
 class CameraPoint:
     """A point in the camera frame (stage-length units)."""
 
+    __slots__ = ("xc", "yc")
     xc: float
     yc: float
 
@@ -122,14 +135,22 @@ class CameraPoint:
         if not (isfinite(xc) and isfinite(yc)):
             _require_finite("xc", xc)
             _require_finite("yc", yc)
-        _set_field(self, "xc", xc)
-        _set_field(self, "yc", yc)
+        _set_xc(self, xc)
+        _set_yc(self, yc)
+
+    __getstate__ = _getstate
+    __setstate__ = _setstate
+
+
+#: The slot setters of CameraPoint's fields, which its `__init__` stores through.
+_set_xc, _set_yc = CameraPoint.xc.__set__, CameraPoint.yc.__set__
 
 
 @dataclass(frozen=True, init=False)
 class ImagePoint:
     """A point in the image plane (pixels)."""
 
+    __slots__ = ("u", "v")
     u: float
     v: float
 
@@ -137,8 +158,15 @@ class ImagePoint:
         if not (isfinite(u) and isfinite(v)):
             _require_finite("u", u)
             _require_finite("v", v)
-        _set_field(self, "u", u)
-        _set_field(self, "v", v)
+        _set_u(self, u)
+        _set_v(self, v)
+
+    __getstate__ = _getstate
+    __setstate__ = _setstate
+
+
+#: The slot setters of ImagePoint's fields, which its `__init__` stores through.
+_set_u, _set_v = ImagePoint.u.__set__, ImagePoint.v.__set__
 
 
 def rotation_matrix(alpha: float) -> Mat2:
@@ -255,5 +283,7 @@ def image_to_stage(p: ImagePoint, c: Calibration) -> StagePoint:
     For a valid Calibration det T = fx*fy > 0, so SingularError can only fire
     on degenerate inputs constructed around the validation.
     """
-    x, y = _affine(c._to_stage, p.u - c.fx * c.dx, p.v - c.fy * c.dy)
+    # The offset of stage_to_image, cached with its coefficients.
+    _, _, _, _, b1, b2 = c._to_image
+    x, y = _affine(c._to_stage, p.u - b1, p.v - b2)
     return StagePoint(x, y)

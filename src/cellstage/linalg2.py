@@ -4,11 +4,20 @@ Everything downstream (frame transforms, stage dynamics) runs on these two
 value types. Operations use the exact closed-form expressions; the 2x2
 inverse is adjugate/determinant, never a decomposition.
 
-Vec2, Mat2 and the point types of `frames` check their fields in their own
-`__init__`: one `isfinite` test of all fields, and only when that fails the
-named `_require_finite` check of each field in field order, so the error
-names the first bad field. A pointwise frame map builds a point per call;
-this skips the dataclass `__post_init__` call and one call per field.
+Vec2, Mat2 and the point types of `frames` are slotted frozen dataclasses
+that check their fields in their own `__init__`: one `isfinite` test of all
+fields, and only when that fails the named `_require_finite` check of each
+field in field order, so the error names the first bad field. Each field is
+then stored through its own slot's setter, bound once at import. A
+pointwise frame map builds a point per call; this skips the dataclass
+`__post_init__` call, one call per field and the generic attribute lookup
+of `object.__setattr__`. The types have no `__dict__` and no weak
+references, and take no attribute besides their fields. Each writes its
+`__slots__` and its pickle state functions (`_getstate`, `_setstate`) in
+its class body instead of passing `slots=True`, which rebuilds the class
+after making its frozen `__setattr__`; that `__setattr__` still tests for
+the old class, so on Python 3.11 assigning a name that is not a field
+raises TypeError rather than FrozenInstanceError.
 """
 
 from __future__ import annotations
@@ -36,9 +45,19 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be positive, got {value!r}")
 
 
-#: Stores a field of a frozen value type from its own `__init__`; bound once,
-#: which is cheaper than looking up `object.__setattr__` on every call.
-_set_field = object.__setattr__
+def _getstate(self) -> list:
+    """`__getstate__` of the slotted value types: the field values in field
+    order."""
+    return [getattr(self, name) for name in self.__slots__]
+
+
+def _setstate(self, state) -> None:
+    """`__setstate__` of the slotted value types: a `_getstate` list, or the
+    `__dict__` of one pickled before the types had slots. Checked as
+    `__init__` checks its arguments."""
+    if isinstance(state, dict):
+        state = [state[name] for name in self.__slots__]
+    self.__init__(*state)
 
 
 def _require_finite_column(name: str, column) -> None:
@@ -52,6 +71,7 @@ def _require_finite_column(name: str, column) -> None:
 class Vec2:
     """Immutable 2-vector. Components must be finite."""
 
+    __slots__ = ("e1", "e2")
     e1: float
     e2: float
 
@@ -59,8 +79,11 @@ class Vec2:
         if not (isfinite(e1) and isfinite(e2)):
             _require_finite("e1", e1)
             _require_finite("e2", e2)
-        _set_field(self, "e1", e1)
-        _set_field(self, "e2", e2)
+        _set_e1(self, e1)
+        _set_e2(self, e2)
+
+    __getstate__ = _getstate
+    __setstate__ = _setstate
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.e1 + other.e1, self.e2 + other.e2)
@@ -79,10 +102,15 @@ class Vec2:
         yield self.e2
 
 
+#: The slot setters of Vec2's fields, which its `__init__` stores through.
+_set_e1, _set_e2 = Vec2.e1.__set__, Vec2.e2.__set__
+
+
 @dataclass(frozen=True, init=False)
 class Mat2:
     """Immutable 2x2 matrix, row-major. Entries must be finite."""
 
+    __slots__ = ("a11", "a12", "a21", "a22")
     a11: float
     a12: float
     a21: float
@@ -94,10 +122,13 @@ class Mat2:
             _require_finite("a12", a12)
             _require_finite("a21", a21)
             _require_finite("a22", a22)
-        _set_field(self, "a11", a11)
-        _set_field(self, "a12", a12)
-        _set_field(self, "a21", a21)
-        _set_field(self, "a22", a22)
+        _set_a11(self, a11)
+        _set_a12(self, a12)
+        _set_a21(self, a21)
+        _set_a22(self, a22)
+
+    __getstate__ = _getstate
+    __setstate__ = _setstate
 
     def inf_norm(self) -> float:
         """Max absolute row sum."""
@@ -108,6 +139,12 @@ class Mat2:
         yield self.a12
         yield self.a21
         yield self.a22
+
+
+#: The slot setters of Mat2's fields, which its `__init__` stores through.
+_set_a11, _set_a12, _set_a21, _set_a22 = (
+    Mat2.a11.__set__, Mat2.a12.__set__, Mat2.a21.__set__, Mat2.a22.__set__
+)
 
 
 IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)

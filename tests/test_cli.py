@@ -358,7 +358,50 @@ class TestSimulate:
         out = tmp_path / "no_such_dir" / "x.csv"
         result = run_cli("simulate", "--config", str(translation_config), "--out", str(out))
         assert result.returncode == 2
-        assert result.stderr.startswith("error: ")
+        assert result.stderr == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["translation.cfg"]
+
+    def test_empty_out_exits_2_and_leaves_no_file(self, translation_config, tmp_path):
+        # The temporary file of an empty --out must not go beside the
+        # working directory.
+        work = tmp_path / "work"
+        work.mkdir()
+        result = run_cli(
+            "simulate", "--config", str(translation_config), "--out", "", cwd=work
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: [Errno 2] No such file or directory: ''\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["translation.cfg", "work"]
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            "",
+            os.path.join("no_such_dir", "x.csv"),
+            os.path.join(os.pardir, "fine.cfg", "x.csv"),
+        ],
+        ids=["empty", "missing_directory", "file_as_directory"],
+    )
+    def test_unopenable_out_fails_before_integrating(
+        self, out, fine_config, monkeypatch, tmp_path
+    ):
+        def no_path(*args):
+            raise AssertionError(f"integrated a path whose --out is {out!r}")
+
+        monkeypatch.setattr(cli, "_path", no_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with pytest.raises(OSError) as expected:
+            open(out, "w")
+        with pytest.raises(OSError) as excinfo:
+            cli.cmd_simulate(parse_config(fine_config.read_bytes()), out)
+        assert type(excinfo.value) is type(expected.value)
+        assert str(excinfo.value) == str(expected.value)
+        assert excinfo.value.filename == out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "work"]
+        assert list(work.iterdir()) == []
 
 
 class TestForkedWriter:

@@ -21,7 +21,10 @@ terms, and with |R| < 1 it carries earlier errors forward without growth,
 so every row of `simulate` and of the `cellstage simulate` CSV must lie
 within n eps of its term scale (|pos0| + n*dt*|c| + m*|e0| for positions,
 |c| + |e0| for velocities) of that closed form, evaluated in mpmath at 50
-digits. The worst row checked reads about 0.3 of that bound.
+digits. The worst row checked reads about 0.3 of that bound. The closed
+form of the model differs from it only in exp(nz) for R^n, so what
+INTEGRATOR_VS_ANALYTIC reports is |e0|*|R^n - exp(nz)|, times m for
+positions, plus round-off.
 """
 
 import dataclasses
@@ -33,7 +36,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cellstage import _backend, cli
+from cellstage import _backend, cli, propcheck
+from cellstage._rng import property_stream
 from cellstage.dynamics import MassParams, StageState, Wrench, simulate
 from cellstage.frames import Calibration, StagePoint, stage_to_image, transformation_matrix
 from cellstage.linalg2 import SINGULAR_EPS, Mat2, inverse2
@@ -246,3 +250,41 @@ def test_cli_rows_are_the_exact_recurrence(
     for axis, (m_eff, state0, c) in enumerate(axes(m, init, w)):
         got = {n: (table[n][axis], table[n][2 + axis]) for n in rows}
         assert_exact_recurrence(got, state0, m_eff, c, dt)
+
+
+def truncation_gap(m_eff, vel0, c, dt, steps):
+    """Largest gap between the exact RK4 recurrence and the closed form over
+    rows 0..steps of one axis: |e0|*|R^n - e^(nz)| for the velocity and m
+    times that for the position, in mpmath at 50 digits."""
+    with mpmath.workdps(50):
+        m, e0, dt = mpmath.mpf(m_eff), mpmath.mpf(vel0) - mpmath.mpf(c), mpmath.mpf(dt)
+        z = -dt / m
+        r = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        widest = max(abs(r**n - mpmath.exp(n * z)) for n in range(steps + 1))
+        # The larger of the velocity gap and m times it.
+        return max(1, m) * abs(e0) * widest
+
+
+@pytest.mark.parametrize("seed", [42, 9176])
+def test_integrator_violation_is_the_exact_truncation(seed):
+    # INTEGRATOR_VS_ANALYTIC compares RK4 rows with the closed form, so
+    # what it reports is the truncation gap plus each side's round-off,
+    # which stays within rows eps of the largest term scale.
+    name = "INTEGRATOR_VS_ANALYTIC"
+    _, draws, evaluate = propcheck.PROPERTIES[name]
+    steps = propcheck._INTEGRATOR_STEPS
+    eps = 2.0**-52
+    for sample in range(8):
+        violation, _ = evaluate(property_stream(seed, name, sample * draws))
+        rng = property_stream(seed, name, sample * draws)
+        m = propcheck.sample_masses(rng)
+        init = propcheck.sample_initial_state(rng)
+        w = propcheck.sample_wrench(rng)
+        dt = propcheck._integrator_step(m)
+        gap = scale = 0.0
+        for m_eff, (pos0, vel0), c in axes(m, init, w):
+            gap = max(gap, truncation_gap(m_eff, vel0, c, dt, steps))
+            e0 = abs(vel0 - c)
+            scale = max(scale, abs(pos0) + steps * dt * abs(c) + m_eff * e0, abs(c) + e0)
+        bound = (steps + 1) * eps * scale
+        assert abs(violation - gap) <= bound, (sample, violation, float(gap), bound)

@@ -1,11 +1,15 @@
 """The five per-point value types check their fields in their own `__init__`.
 
 StagePoint, CameraPoint and ImagePoint (`frames`) and Vec2 and Mat2
-(`linalg2`) are frozen dataclasses with a hand-written `__init__`: one
-`isfinite` test of all fields, and the named `_require_finite` check of each
-field in field order only when that test fails. These tests pin that they
-behave like plain frozen dataclasses with checked fields, and that a finite
-value is built without any named check.
+(`linalg2`) are slotted frozen dataclasses with a hand-written `__init__`:
+one `isfinite` test of all fields, and the named `_require_finite` check of
+each field in field order only when that test fails, then each field stored
+through its slot's setter. These tests pin that they behave like plain
+frozen dataclasses with checked fields, that they hold their fields and
+nothing else (no `__dict__`, no weak references), that they pickle at every
+protocol and read the pickles of the `__dict__` layout they had before,
+that a finite value is built without any named check, and that the point
+maps give the bits of their formulas, written out in the tests.
 """
 
 import copy
@@ -13,11 +17,13 @@ import dataclasses
 import inspect
 import math
 import pickle
+import random
+import weakref
 
 import pytest
 
 from cellstage import frames, linalg2
-from cellstage.errors import DomainError
+from cellstage.errors import DomainError, SingularError
 from cellstage.frames import CameraPoint, ImagePoint, StagePoint
 from cellstage.linalg2 import Mat2, Vec2
 
@@ -44,6 +50,19 @@ def plain(cls):
 
 def hexes(value) -> list[str]:
     return [float.hex(getattr(value, name)) for name in names(type(value))]
+
+
+PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+
+def dict_layout_pickle(cls, values, protocol, monkeypatch) -> bytes:
+    """The pickle of cls(*values) as the type pickled with a `__dict__`: a
+    plain frozen dataclass twin under the same module and name."""
+    twin = plain(cls)
+    twin.__module__, twin.__qualname__ = cls.__module__, cls.__qualname__
+    with monkeypatch.context() as patch:
+        patch.setattr(inspect.getmodule(cls), cls.__name__, twin)
+        return pickle.dumps(twin(*values), protocol)
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=IDS)
@@ -94,9 +113,9 @@ class TestContract:
             copy.copy,
             copy.deepcopy,
             lambda v: pickle.loads(pickle.dumps(v)),
-            lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+            *(lambda v, p=p: pickle.loads(pickle.dumps(v, protocol=p)) for p in PROTOCOLS),
         ],
-        ids=["copy", "deepcopy", "pickle", "pickle0"],
+        ids=["copy", "deepcopy", "pickle", *(f"pickle{p}" for p in PROTOCOLS)],
     )
     def test_copy_and_pickle_round_trip(self, cls, round_trip):
         value = cls(*sample(cls))
@@ -104,6 +123,37 @@ class TestContract:
         assert type(again) is cls
         assert again == value
         assert hexes(again) == hexes(value)
+
+    def test_slots_are_the_fields(self, cls):
+        assert cls.__slots__ == names(cls)
+
+    def test_no_dict_and_no_weak_references(self, cls):
+        value = cls(*sample(cls))
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(value)
+
+    def test_no_attribute_besides_the_fields(self, cls):
+        value = cls(*sample(cls))
+        frozen = dataclasses.FrozenInstanceError
+        with pytest.raises(frozen, match="^cannot assign to field 'extra'$"):
+            value.extra = 1.0
+        with pytest.raises(frozen, match="^cannot delete field 'extra'$"):
+            del value.extra
+        with pytest.raises(AttributeError):
+            object.__setattr__(value, "extra", 1.0)
+        assert hexes(value) == [float.hex(v) for v in sample(cls)]
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_reads_a_pickle_of_the_dict_layout(self, cls, protocol, monkeypatch):
+        data = dict_layout_pickle(cls, sample(cls), protocol, monkeypatch)
+        again = pickle.loads(data)
+        assert type(again) is cls
+        assert hexes(again) == [float.hex(v) for v in sample(cls)]
+        bad = (math.nan, *sample(cls)[1:])
+        data = dict_layout_pickle(cls, bad, protocol, monkeypatch)
+        with pytest.raises(DomainError, match=f"^{names(cls)[0]} must be finite, got nan$"):
+            pickle.loads(data)
 
     def test_negative_zero_keeps_its_sign(self, cls):
         value = cls(*[-0.0] * len(names(cls)))
@@ -178,3 +228,68 @@ class TestNamedChecksOnlyOnFailure:
         calls.clear()
         round_trip()
         assert calls == []
+
+
+class TestPointMapBits:
+    """Every point map gives the bits of its formula written out here, in the
+    order of `frames._affine`, with the offset (fx*dx, fy*dy) of
+    `image_to_stage` multiplied out. Each case compares the `float.hex` of
+    both coordinates, or the error text."""
+
+    #: Coordinates beside random ones: signed zeros, subnormals, the
+    #: smallest normal and values large enough to overflow a map.
+    SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1060, -(2.0**-1030),
+               2.2250738585072014e-308, 1e308, -1e308)
+
+    @staticmethod
+    def outcome(build, *args):
+        try:
+            return hexes(build(*args))
+        except (DomainError, SingularError) as exc:
+            return str(exc)
+
+    def reference_outcomes(self, c, x, y):
+        """stage_to_camera, camera_to_image, stage_to_image and
+        image_to_stage of (x, y), from the formulas."""
+        ca, sa = math.cos(c.alpha), math.sin(c.alpha)
+        t11, t12, t21, t22 = c.fx * ca, c.fx * sa, -c.fy * sa, c.fy * ca
+        det = t11 * t22 - t12 * t21
+        if abs(det) < linalg2.SINGULAR_EPS:
+            to_stage = f"matrix is singular within eps={linalg2.SINGULAR_EPS!r}: det={det!r}"
+        else:
+            i11, i12, i21, i22 = t22 / det, -t12 / det, -t21 / det, t11 / det
+            u0, v0 = x - c.fx * c.dx, y - c.fy * c.dy
+            to_stage = self.outcome(
+                StagePoint, (i11 * u0 + i12 * v0) + -0.0, (i21 * u0 + i22 * v0) + -0.0
+            )
+        return [
+            self.outcome(CameraPoint, (ca * x + sa * y) + c.dx, (-sa * x + ca * y) + c.dy),
+            self.outcome(ImagePoint, (c.fx * x + 0.0 * y) + -0.0, (0.0 * x + c.fy * y) + -0.0),
+            self.outcome(
+                ImagePoint, (t11 * x + t12 * y) + c.fx * c.dx, (t21 * x + t22 * y) + c.fy * c.dy
+            ),
+            to_stage,
+        ]
+
+    def coordinate(self, rng):
+        if rng.random() < 0.3:
+            return rng.choice(self.SPECIAL)
+        return rng.choice((-1, 1)) * 10 ** rng.uniform(-310, 3)
+
+    def test_point_maps_keep_their_bits(self):
+        rng = random.Random(2020)
+        maps = (frames.stage_to_camera, frames.camera_to_image,
+                frames.stage_to_image, frames.image_to_stage)
+        inputs = (StagePoint, CameraPoint, StagePoint, ImagePoint)
+        for _ in range(3000):
+            c = frames.Calibration(
+                alpha=rng.choice((0.0, -0.0, rng.uniform(-math.pi, math.pi))),
+                dx=rng.choice((5e-324, 10 ** rng.uniform(-3, 3))),
+                dy=10 ** rng.uniform(-3, 3),
+                fx=10 ** rng.uniform(-3, 3),
+                fy=rng.choice((5e-324, 10 ** rng.uniform(-3, 3))),
+            )
+            x, y = self.coordinate(rng), self.coordinate(rng)
+            for point_map, point, want in zip(maps, inputs, self.reference_outcomes(c, x, y)):
+                got = self.outcome(point_map, point(x, y), c)
+                assert got == want, (point_map.__name__, c, x, y)
