@@ -201,10 +201,10 @@ def _render_part(part: int, window: Trajectory, config: ScenarioConfig, start: i
         _render_window(handle, window, config, start)
 
 
-def _open_part(tmp_path: str, start: int) -> int:
-    """A new file beside tmp_path, unlinked at once so only its descriptor
-    names it."""
-    part_path = f"{tmp_path}.{start}.part"
+def _open_part(part_prefix: str, start: int) -> int:
+    """A new file named from part_prefix and start, unlinked at once so only
+    its descriptor names it."""
+    part_path = f"{part_prefix}.{start}.part"
     part = os.open(part_path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
     os.unlink(part_path)
     return part
@@ -223,7 +223,7 @@ def _append_part(fd: int, part: int) -> None:
 _RENDERED_HERE = 0
 
 
-def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, tmp_path: str):
+def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, part_prefix: str):
     """Integrate and render the path in windows; see cmd_simulate."""
     m, init, w, dt = config.masses, config.initial, config.wrench, config.dt
     windows = max(_csv_parts(rows), -(-rows // _WINDOW_ROWS))
@@ -277,11 +277,11 @@ def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, tmp_path:
                 if stop < rows and cpus > 1:
                     while len(shares) >= cpus:
                         append_oldest()
-                    part = _open_part(tmp_path, start)
+                    part = _open_part(part_prefix, start)
                     shares.append([None, part, start, stop, start_state])
                     shares[-1][0] = workers.spawn(_render_part, part, window, config, start)
                 elif shares:
-                    part = _open_part(tmp_path, start)
+                    part = _open_part(part_prefix, start)
                     shares.append([None, part, start, stop, start_state])
                     try:
                         _render_part(part, window, config, start)
@@ -304,6 +304,20 @@ def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, tmp_path:
         raise path_error or row_error
 
 
+def _temporary_path(directory: str, name: str, token: str) -> str:
+    """directory/.{name}.{token}.tmp, with name cut short to fit the
+    directory's limit on name bytes, if the system states one. Raises
+    OSError for a missing directory or a name over that limit."""
+    limit = os.pathconf(directory, "PC_NAME_MAX") if hasattr(os, "pathconf") else -1
+    encoded = os.fsencode(name)
+    suffix = f".{token}.tmp"
+    if limit >= 0:
+        if len(encoded) > limit:
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG))
+        encoded = encoded[: max(limit - 1 - len(suffix), 0)]
+    return os.path.join(directory, f".{os.fsdecode(encoded)}{suffix}")
+
+
 def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
     """Write the path's CSV to out_path, streamed in windows of rows.
 
@@ -318,12 +332,14 @@ def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
     again here. Errors come in the order one process meets them: a divergence
     first, then a bad time or state column, then the first bad row, and
     none is raised before the kernel has finished. The CSV goes to a
-    temporary file beside out_path that replaces it once complete; on any
-    failure the workers are killed and reaped, the temporary file is
-    removed and out_path is untouched. An out_path that is empty, names a
-    directory or lies where the temporary file cannot be made raises an
-    OSError naming out_path before any row is integrated: for the first
-    two, and for a missing parent directory, the one open(out_path, "w")
+    temporary file beside out_path that replaces it once complete; its
+    hidden name shortens out_path's base name as far as the directory's
+    name limit needs. On any failure the workers are killed and reaped,
+    the temporary file is removed and out_path is untouched. An out_path
+    that is empty, names a directory, has a base name longer than the
+    directory takes or lies where the temporary file cannot be made raises
+    an OSError naming out_path before any row is integrated: for the first
+    three, and for a missing parent directory, the one open(out_path, "w")
     raises.
     """
     rows = _row_count(config.initial, config.dt, config.t_end)
@@ -335,15 +351,19 @@ def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
         # Its temporary file would go beside the working directory.
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
     directory, name = os.path.split(os.path.abspath(out_path))
-    tmp_path = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    token = os.urandom(6).hex()
     try:
+        tmp_path = _temporary_path(directory, name, token)
         fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
-        # A missing or unusable directory: name out_path, not the hidden file.
+        # A missing or unusable directory, or a name too long for it: name
+        # out_path, not the hidden file.
         raise OSError(exc.errno, exc.strerror, out_path) from None
     try:
         with open(fd, "w", newline="\n") as handle:
-            _write_windows(handle, fd, config, rows, tmp_path)
+            # Part files are unlinked once opened, so their names need only
+            # be unique in the directory, not carry out_path's.
+            _write_windows(handle, fd, config, rows, os.path.join(directory, f".{token}"))
         os.replace(tmp_path, out_path)
     except BaseException:
         os.unlink(tmp_path)

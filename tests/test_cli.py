@@ -79,6 +79,19 @@ OUT_NAMES_A_DIRECTORY = pytest.mark.parametrize(
 )
 
 
+def long_name(length: int) -> str:
+    """An ASCII base name of `length` bytes, ending in .csv."""
+    return "a" * (length - 4) + ".csv"
+
+
+#: Base names of --out up to 255 bytes, the NAME_MAX of Linux file systems:
+#: from the shortest a forked run's part file made too long to the longest
+#: open(out, "w") accepts.
+LONG_OUT_NAMES = pytest.mark.parametrize("length", range(227, 256))
+
+GOLDEN_CSV = DATA_DIR / "reference_trajectory.csv"
+
+
 @pytest.fixture
 def fine_config(tmp_path):
     """The reference scenario at dt = 1e-4: 20,001 rows, five chunks."""
@@ -172,6 +185,32 @@ class TestSimulate:
         )
         assert result.returncode == 0
         assert out.read_bytes() == (DATA_DIR / "reference_trajectory.csv").read_bytes()
+
+    @LONG_OUT_NAMES
+    def test_long_out_name_gives_the_golden_bytes(self, length, tmp_path):
+        # The temporary file's name adds to --out's and must still fit.
+        out = tmp_path / long_name(length)
+        assert cli.main(["simulate", "--config", str(REFERENCE_CONFIG), "--out", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_CSV.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+    @pytest.mark.parametrize("length", [244, 255])
+    def test_long_out_name_exits_0_from_the_cli(self, length, tmp_path):
+        out = tmp_path / long_name(length)
+        result = run_cli("simulate", "--config", str(REFERENCE_CONFIG), "--out", str(out))
+        assert (result.returncode, result.stderr) == (0, "")
+        assert out.read_bytes() == GOLDEN_CSV.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+    def test_out_name_over_name_max_exits_2(self, translation_config, tmp_path):
+        out = tmp_path / long_name(os.pathconf(tmp_path, "PC_NAME_MAX") + 1)
+        with pytest.raises(OSError) as expected:
+            open(out, "w")
+        result = run_cli("simulate", "--config", str(translation_config), "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr == f"error: {expected.value}\n"
+        assert f"{str(out)!r}" in result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["translation.cfg"]
 
     def test_deterministic_across_runs(self, tmp_path):
         outs = []
@@ -380,8 +419,9 @@ class TestSimulate:
             "",
             os.path.join("no_such_dir", "x.csv"),
             os.path.join(os.pardir, "fine.cfg", "x.csv"),
+            long_name(256),
         ],
-        ids=["empty", "missing_directory", "file_as_directory"],
+        ids=["empty", "missing_directory", "file_as_directory", "name_too_long"],
     )
     def test_unopenable_out_fails_before_integrating(
         self, out, fine_config, monkeypatch, tmp_path
@@ -533,6 +573,32 @@ class TestForkedWriter:
         assert self.simulate(fine_config, out, 3, monkeypatch) == 0
         assert out.read_bytes() == self.single_render(fine_config)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "fine.csv"]
+
+    @LONG_OUT_NAMES
+    def test_long_out_name_gives_the_golden_bytes(self, length, monkeypatch, tmp_path):
+        # Two windows: a worker renders rows 0-99 into a part file and this
+        # process rows 100-200 into another.
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / long_name(length)
+        assert self.simulate(REFERENCE_CONFIG, out, 2, monkeypatch) == 0
+        assert out.read_bytes() == GOLDEN_CSV.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+    @pytest.mark.parametrize("windows", [2, 3])
+    def test_long_out_name_gives_the_short_name_bytes(
+        self, windows, fine_config, monkeypatch, tmp_path
+    ):
+        # Windows of 20,001 rows start at 5-digit rows, the longest part
+        # file names of the two.
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        short = tmp_path / "short.csv"
+        long = tmp_path / long_name(237)
+        for out in (short, long):
+            assert self.simulate(fine_config, out, windows, monkeypatch) == 0
+        assert long.read_bytes() == short.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["fine.cfg", long.name, "short.csv"]
+        )
 
 
 def _open_fds() -> set[str]:

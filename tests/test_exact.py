@@ -288,3 +288,69 @@ def test_integrator_violation_is_the_exact_truncation(seed):
             scale = max(scale, abs(pos0) + steps * dt * abs(c) + m_eff * e0, abs(c) + e0)
         bound = (steps + 1) * eps * scale
         assert abs(violation - gap) <= bound, (sample, violation, float(gap), bound)
+
+
+#: THM4_DERIVATIVE_FD draws t from [_THM4_DERIVATIVE_T_MIN, _THM4_T_MAX].
+_THM4_DERIVATIVE_T_MIN = 1.0
+
+
+def derivative_fd_bound() -> float:
+    """A bound on THM4_DERIVATIVE_FD's violation over its whole sampling box.
+
+    The check compares (pos(t+h) - pos(t-h)) / 2h with vel(t) for
+    pos(t) = pos0 + v0*M*(1 - e), vel(t) = v0*e, e = exp(-t/M), per axis.
+    Truncation: h^2/6 * |pos'''(s)| for some s within h of t, and
+    |pos'''(s)| = |v0| e^(-s/M) / M^2 falls with s and peaks at M = s/2.
+    Round-off, to first order in the unit roundoff u: t +- h, -t/M and exp
+    (1 ulp) put 2u(t+h)/M + 2u on e; 1 - e, v0*M and their product add 3u of
+    |v0|M and the sum u(|pos0| + |v0|M). So each position is within
+    u(2|v0|(t+h) + 6|v0|M + |pos0|), and the difference of two divided by 2h
+    within twice that over 2h. The subtraction, the division and vel(t)
+    (whose e carries (t/M)e <= 1 of 2u) add at most 7u|v0|.
+    """
+    u = 2.0**-53
+    h = propcheck._FD_STEP
+    lightest = MassParams(*[propcheck._MASS[0]] * 3)
+    heaviest = MassParams(*[propcheck._MASS[1]] * 3)
+    m_lo = min(lightest.x_effective, lightest.y_effective)
+    m_hi = max(heaviest.x_effective, heaviest.y_effective)
+    v = max(map(abs, propcheck._VELOCITY))
+    p = max(map(abs, propcheck._POSITION))
+    s = _THM4_DERIVATIVE_T_MIN - h
+    m = min(max(s / 2, m_lo), m_hi)
+    truncation = h * h / 6 * v * math.exp(-s / m) / (m * m)
+    position = u * (2 * v * (propcheck._THM4_T_MAX + h) + 6 * v * m_hi + p)
+    return truncation + 2 * position / (2 * h) + 7 * u * v
+
+
+def assert_derivative_fd_is_certified():
+    tolerance = propcheck.PROPERTIES["THM4_DERIVATIVE_FD"][0]
+    bound = derivative_fd_bound()
+    assert bound <= tolerance, (bound, tolerance)
+
+
+def test_derivative_fd_truncation_is_within_its_tolerance():
+    # About 9e-8 of truncation (M = 1/2, t = 1) and 2e-8 of round-off
+    # (M = 30) against 5e-7.
+    assert_derivative_fd_is_certified()
+    assert 1e-7 < derivative_fd_bound() < 1.2e-7
+
+
+def test_derivative_fd_samples_lie_in_the_certified_box():
+    name = "THM4_DERIVATIVE_FD"
+    _, draws, evaluate = propcheck.PROPERTIES[name]
+    bound = derivative_fd_bound()
+    for sample in range(200):
+        violation, inputs = evaluate(property_stream(42, name, sample * draws))
+        assert _THM4_DERIVATIVE_T_MIN <= inputs["t"] <= propcheck._THM4_T_MAX
+        assert violation <= bound
+
+
+@pytest.mark.parametrize(
+    "constant, wider",
+    [("_VELOCITY", (-1000.0, 1000.0)), ("_MASS", (1e-3, 1000.0)), ("_FD_STEP", 1e-3)],
+)
+def test_a_wider_box_breaks_the_derivative_fd_certificate(constant, wider, monkeypatch):
+    monkeypatch.setattr(propcheck, constant, wider)
+    with pytest.raises(AssertionError):
+        assert_derivative_fd_is_certified()
