@@ -32,6 +32,7 @@ import marshal
 import math
 import os
 import signal
+import stat
 import sys
 from collections import deque
 from itertools import chain, repeat
@@ -340,13 +341,20 @@ def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
     directory takes or lies where the temporary file cannot be made raises
     an OSError naming out_path before any row is integrated: for the first
     three, and for a missing parent directory, the one open(out_path, "w")
-    raises.
+    raises. An out_path that exists and is not a regular file, such as a
+    FIFO, raises one too and is left as it was.
     """
     rows = _row_count(config.initial, config.dt, config.t_end)
     # Each check raises what open(out_path, "w") raises, before the path is
-    # integrated.
-    if out_path.endswith(os.sep) or os.path.isdir(out_path):
+    # integrated; a FIFO or device is refused rather than replaced.
+    try:
+        mode = os.stat(out_path).st_mode
+    except (OSError, ValueError):
+        mode = stat.S_IFREG  # Missing or unreachable: the checks below apply.
+    if out_path.endswith(os.sep) or stat.S_ISDIR(mode):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
+    if not stat.S_ISREG(mode):
+        raise OSError(errno.EINVAL, "not a regular file", out_path)
     if not out_path:
         # Its temporary file would go beside the working directory.
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)

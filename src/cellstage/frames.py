@@ -20,10 +20,9 @@ raises DomainError naming the coordinate, and the CSV writer
 (`cli.render_trajectory_csv`) names the first bad row.
 
 The three point types are deliberately distinct so a frame mix-up is a type
-error rather than a silent bug. Like Vec2 and Mat2 (see `linalg2`), they
-are slotted frozen dataclasses whose `__init__` checks the fields and
-stores each through its own slot's setter; a Calibration keeps its
-`__dict__`, which holds the cached coefficients.
+error rather than a silent bug. Like Vec2 and Mat2, they are declared
+through `linalg2._value_type`; a Calibration keeps its `__dict__`, which
+holds the cached coefficients.
 """
 
 from __future__ import annotations
@@ -32,12 +31,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from math import isfinite
 from typing import Sequence
 
-from .linalg2 import (
-    Mat2, Vec2, inverse2, _getstate, _require_finite, _require_positive, _setstate
-)
+from .linalg2 import Mat2, Vec2, inverse2, _require_finite, _require_positive, _value_type
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ class Calibration:
         return (t_inv.a11, t_inv.a12, t_inv.a21, t_inv.a22, _NO_OFFSET, _NO_OFFSET)
 
 
-@dataclass(frozen=True, init=False)
+@_value_type
 class StagePoint:
     """A point in the stage frame (stage-length units)."""
 
@@ -105,25 +101,11 @@ class StagePoint:
     x: float
     y: float
 
-    def __init__(self, x: float, y: float):
-        if not (isfinite(x) and isfinite(y)):
-            _require_finite("x", x)
-            _require_finite("y", y)
-        _set_x(self, x)
-        _set_y(self, y)
-
-    __getstate__ = _getstate
-    __setstate__ = _setstate
-
     def vec(self) -> Vec2:
         return Vec2(self.x, self.y)
 
 
-#: The slot setters of StagePoint's fields, which its `__init__` stores through.
-_set_x, _set_y = StagePoint.x.__set__, StagePoint.y.__set__
-
-
-@dataclass(frozen=True, init=False)
+@_value_type
 class CameraPoint:
     """A point in the camera frame (stage-length units)."""
 
@@ -131,42 +113,14 @@ class CameraPoint:
     xc: float
     yc: float
 
-    def __init__(self, xc: float, yc: float):
-        if not (isfinite(xc) and isfinite(yc)):
-            _require_finite("xc", xc)
-            _require_finite("yc", yc)
-        _set_xc(self, xc)
-        _set_yc(self, yc)
 
-    __getstate__ = _getstate
-    __setstate__ = _setstate
-
-
-#: The slot setters of CameraPoint's fields, which its `__init__` stores through.
-_set_xc, _set_yc = CameraPoint.xc.__set__, CameraPoint.yc.__set__
-
-
-@dataclass(frozen=True, init=False)
+@_value_type
 class ImagePoint:
     """A point in the image plane (pixels)."""
 
     __slots__ = ("u", "v")
     u: float
     v: float
-
-    def __init__(self, u: float, v: float):
-        if not (isfinite(u) and isfinite(v)):
-            _require_finite("u", u)
-            _require_finite("v", v)
-        _set_u(self, u)
-        _set_v(self, v)
-
-    __getstate__ = _getstate
-    __setstate__ = _setstate
-
-
-#: The slot setters of ImagePoint's fields, which its `__init__` stores through.
-_set_u, _set_v = ImagePoint.u.__set__, ImagePoint.v.__set__
 
 
 def rotation_matrix(alpha: float) -> Mat2:

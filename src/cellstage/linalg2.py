@@ -4,27 +4,19 @@ Everything downstream (frame transforms, stage dynamics) runs on these two
 value types. Operations use the exact closed-form expressions; the 2x2
 inverse is adjugate/determinant, never a decomposition.
 
-Vec2, Mat2 and the point types of `frames` are slotted frozen dataclasses
-that check their fields in their own `__init__`: one `isfinite` test of all
-fields, and only when that fails the named `_require_finite` check of each
-field in field order, so the error names the first bad field. Each field is
-then stored through its own slot's setter, bound once at import. A
-pointwise frame map builds a point per call; this skips the dataclass
-`__post_init__` call, one call per field and the generic attribute lookup
-of `object.__setattr__`. The types have no `__dict__` and no weak
-references, and take no attribute besides their fields. Each writes its
-`__slots__` and its pickle state functions (`_getstate`, `_setstate`) in
-its class body instead of passing `slots=True`, which rebuilds the class
-after making its frozen `__setattr__`; that `__setattr__` still tests for
-the old class, so on Python 3.11 assigning a name that is not a field
-raises TypeError rather than FrozenInstanceError.
+Vec2, Mat2 and the point types of `frames` are declared once, through
+`_value_type`. Each lists its fields in `__slots__` rather than passing
+`slots=True`, which rebuilds the class after making its frozen
+`__setattr__`; that `__setattr__` still tests for the old class, so on
+Python 3.11 assigning a name that is not a field raises TypeError rather
+than FrozenInstanceError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from math import isfinite
 
 from .errors import DomainError, SingularError
 
@@ -60,6 +52,43 @@ def _setstate(self, state) -> None:
     self.__init__(*state)
 
 
+def _value_type(cls):
+    """Declare cls, whose body annotates its fields and lists them in
+    `__slots__`, as a slotted frozen dataclass with a checked `__init__`.
+
+    `__init__` makes one `isfinite` test of all fields and only when that
+    fails the named `_require_finite` check of each in field order, so the
+    error names the first bad field; then it stores each through its slot's
+    setter. A pointwise frame map builds a point per call, and this skips a
+    `__post_init__` call, one call per field and `object.__setattr__`'s
+    generic lookup. It is built from source, as `dataclasses` builds its
+    own, on globals of its own (closure variables, copied on every call,
+    made a round trip about 4% slower); `_require_finite` is looked up on
+    this module at call time. `_getstate` and `_setstate` pickle it. A body
+    that writes `__init__`, `__getstate__` or `__setstate__` raises TypeError.
+    """
+    if vars(cls).keys() & {"__init__", "__getstate__", "__setstate__"}:
+        raise TypeError(f"{cls.__qualname__} writes what _value_type generates")
+    cls = dataclass(frozen=True, init=False)(cls)
+    names = cls.__slots__
+    lines = [
+        f"def __init__(self, {', '.join(names)}):",
+        f"    if not ({' and '.join(f'isfinite({n})' for n in names)}):",
+        *(f"        linalg2._require_finite({n!r}, {n})" for n in names),
+        *(f"    _set_{n}(self, {n})" for n in names),
+    ]
+    namespace = {"isfinite": math.isfinite, "linalg2": sys.modules[__name__]}
+    namespace.update((f"_set_{n}", getattr(cls, n).__set__) for n in names)
+    exec("\n".join(lines), namespace)
+    init = namespace.pop("__init__")
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    cls.__getstate__ = _getstate
+    cls.__setstate__ = _setstate
+    return cls
+
+
 def _require_finite_column(name: str, column) -> None:
     """Whole-column finiteness check; names the first bad index."""
     if not all(map(math.isfinite, column)):
@@ -67,23 +96,13 @@ def _require_finite_column(name: str, column) -> None:
         _require_finite(f"{name}[{index}]", column[index])
 
 
-@dataclass(frozen=True, init=False)
+@_value_type
 class Vec2:
     """Immutable 2-vector. Components must be finite."""
 
     __slots__ = ("e1", "e2")
     e1: float
     e2: float
-
-    def __init__(self, e1: float, e2: float):
-        if not (isfinite(e1) and isfinite(e2)):
-            _require_finite("e1", e1)
-            _require_finite("e2", e2)
-        _set_e1(self, e1)
-        _set_e2(self, e2)
-
-    __getstate__ = _getstate
-    __setstate__ = _setstate
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.e1 + other.e1, self.e2 + other.e2)
@@ -102,11 +121,7 @@ class Vec2:
         yield self.e2
 
 
-#: The slot setters of Vec2's fields, which its `__init__` stores through.
-_set_e1, _set_e2 = Vec2.e1.__set__, Vec2.e2.__set__
-
-
-@dataclass(frozen=True, init=False)
+@_value_type
 class Mat2:
     """Immutable 2x2 matrix, row-major. Entries must be finite."""
 
@@ -115,20 +130,6 @@ class Mat2:
     a12: float
     a21: float
     a22: float
-
-    def __init__(self, a11: float, a12: float, a21: float, a22: float):
-        if not (isfinite(a11) and isfinite(a12) and isfinite(a21) and isfinite(a22)):
-            _require_finite("a11", a11)
-            _require_finite("a12", a12)
-            _require_finite("a21", a21)
-            _require_finite("a22", a22)
-        _set_a11(self, a11)
-        _set_a12(self, a12)
-        _set_a21(self, a21)
-        _set_a22(self, a22)
-
-    __getstate__ = _getstate
-    __setstate__ = _setstate
 
     def inf_norm(self) -> float:
         """Max absolute row sum."""
@@ -139,12 +140,6 @@ class Mat2:
         yield self.a12
         yield self.a21
         yield self.a22
-
-
-#: The slot setters of Mat2's fields, which its `__init__` stores through.
-_set_a11, _set_a12, _set_a21, _set_a22 = (
-    Mat2.a11.__set__, Mat2.a12.__set__, Mat2.a21.__set__, Mat2.a22.__set__
-)
 
 
 IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)

@@ -3,6 +3,7 @@ import marshal
 import math
 import os
 import resource
+import stat
 import subprocess
 import sys
 import time
@@ -383,6 +384,29 @@ class TestSimulate:
             cli.cmd_simulate(parse_config(fine_config.read_bytes()), out)
         assert str(excinfo.value) == f"[Errno 21] Is a directory: {out!r}"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "outdir"]
+
+    def test_out_is_fifo_exits_2(self, translation_config, tmp_path):
+        # Replaced by the CSV, the FIFO would give its readers nothing.
+        out = tmp_path / "out.csv"
+        os.mkfifo(out)
+        result = run_cli("simulate", "--config", str(translation_config), "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr == f"error: [Errno 22] not a regular file: {str(out)!r}\n"
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "translation.cfg"]
+
+    def test_out_is_fifo_fails_before_integrating(self, fine_config, monkeypatch, tmp_path):
+        def no_path(*args):
+            raise AssertionError("integrated a path whose --out is a FIFO")
+
+        monkeypatch.setattr(cli, "_path", no_path)
+        out = os.path.join(tmp_path, "out.csv")
+        os.mkfifo(out)
+        with pytest.raises(OSError) as excinfo:
+            cli.cmd_simulate(parse_config(fine_config.read_bytes()), out)
+        assert str(excinfo.value) == f"[Errno 22] not a regular file: {out!r}"
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "out.csv"]
 
     def test_config_is_directory_exits_2(self, tmp_path):
         result = run_cli(

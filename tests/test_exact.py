@@ -273,7 +273,6 @@ def test_integrator_violation_is_the_exact_truncation(seed):
     name = "INTEGRATOR_VS_ANALYTIC"
     _, draws, evaluate = propcheck.PROPERTIES[name]
     steps = propcheck._INTEGRATOR_STEPS
-    eps = 2.0**-52
     for sample in range(8):
         violation, _ = evaluate(property_stream(seed, name, sample * draws))
         rng = property_stream(seed, name, sample * draws)
@@ -281,13 +280,129 @@ def test_integrator_violation_is_the_exact_truncation(seed):
         init = propcheck.sample_initial_state(rng)
         w = propcheck.sample_wrench(rng)
         dt = propcheck._integrator_step(m)
-        gap = scale = 0.0
+        gap = bound = 0.0
         for m_eff, (pos0, vel0), c in axes(m, init, w):
             gap = max(gap, truncation_gap(m_eff, vel0, c, dt, steps))
-            e0 = abs(vel0 - c)
-            scale = max(scale, abs(pos0) + steps * dt * abs(c) + m_eff * e0, abs(c) + e0)
-        bound = (steps + 1) * eps * scale
+            bound = max(bound, integrator_round_off(steps, dt, m_eff, pos0, vel0 - c, c))
         assert abs(violation - gap) <= bound, (sample, violation, float(gap), bound)
+
+
+def integrator_round_off(steps, dt, m_eff, pos0, e0, c) -> float:
+    """The round-off allowed between INTEGRATOR_VS_ANALYTIC's violation and
+    its truncation gap on one axis: rows eps of the larger term scale,
+    |pos0| + n*dt*|c| + m*|e0| of the positions or |c| + |e0| of the
+    velocities."""
+    eps = 2.0**-52
+    c, e0 = abs(c), abs(e0)
+    return (steps + 1) * eps * max(abs(pos0) + steps * dt * c + m_eff * e0, c + e0)
+
+
+def integrator_step_box() -> tuple[float, float]:
+    """The largest |z| = dt/m and the largest dt of INTEGRATOR_VS_ANALYTIC's
+    draws. The step rule min(1e-3, m_min/128) makes dt/m <= dt/m_min
+    largest at the lightest masses and dt largest at the heaviest."""
+    lightest = MassParams(*[propcheck._MASS[0]] * 3)
+    heaviest = MassParams(*[propcheck._MASS[1]] * 3)
+    m_lo = min(lightest.x_effective, lightest.y_effective)
+    return propcheck._integrator_step(lightest) / m_lo, propcheck._integrator_step(heaviest)
+
+
+def integrator_bound() -> float:
+    """A bound on INTEGRATOR_VS_ANALYTIC's violation over its whole sampling
+    box.
+
+    With z = -dt/m, the truncation gap is |e0|*|R^n - e^(nz)| for a velocity
+    and m times that for a position. For -1 <= z < 0 the series of e^z
+    alternates with falling terms, so |R(z) - e^z| <= |z|^5/120, and with
+    0 < R, e^z <= 1, |R^n - e^(nz)| <= n |R - e^z| <= n |z|^5/120. As m|z|
+    is dt, a position's gap is at most dt |e0| n |z|^4/120. |e0| = |v0 - c|
+    with c = tau - fe_d. Round-off is `integrator_round_off` at the box's
+    largest terms.
+    """
+    n = propcheck._INTEGRATOR_STEPS
+    z, dt = integrator_step_box()
+    assert z <= 1, z
+    heaviest = MassParams(*[propcheck._MASS[1]] * 3)
+    m_hi = max(heaviest.x_effective, heaviest.y_effective)
+    c = 2 * max(map(abs, propcheck._WRENCH))
+    e0 = max(map(abs, propcheck._VELOCITY)) + c
+    p = max(map(abs, propcheck._POSITION))
+    velocity = e0 * n * z**5 / 120
+    position = dt * e0 * n * z**4 / 120
+    return max(velocity, position) + integrator_round_off(n, dt, m_hi, p, e0, c)
+
+
+def assert_integrator_is_certified():
+    tolerance = propcheck.PROPERTIES["INTEGRATOR_VS_ANALYTIC"][0]
+    bound = integrator_bound()
+    assert bound <= tolerance, (bound, tolerance)
+
+
+def test_integrator_truncation_is_within_its_tolerance():
+    # About 2.9e-8 of velocity truncation (|z| = 1/128, |e0| = 120) and
+    # 8.3e-10 of round-off (M = 30) against 1e-6.
+    assert_integrator_is_certified()
+    assert 2.9e-8 < integrator_bound() < 3.1e-8
+
+
+def test_integrator_samples_lie_in_the_certified_box():
+    name = "INTEGRATOR_VS_ANALYTIC"
+    _, draws, evaluate = propcheck.PROPERTIES[name]
+    z_max, dt_max = integrator_step_box()
+    bound = integrator_bound()
+    for sample in range(40):
+        violation, inputs = evaluate(property_stream(42, name, sample * draws))
+        m = MassParams(inputs["mx"], inputs["my"], inputs["mp"])
+        assert inputs["dt"] <= dt_max
+        assert inputs["dt"] / min(m.x_effective, m.y_effective) <= z_max
+        assert violation <= bound
+
+
+@pytest.mark.parametrize(
+    "constant, wider",
+    [
+        ("_VELOCITY", (-1e4, 1e4)),
+        ("_INTEGRATOR_STEPS", 100_000),
+        ("_integrator_step", lambda m: min(1e-3, min(m.x_effective, m.y_effective) / 16)),
+    ],
+    ids=["_VELOCITY", "_INTEGRATOR_STEPS", "_integrator_step"],
+)
+def test_a_wider_box_breaks_the_integrator_certificate(constant, wider, monkeypatch):
+    monkeypatch.setattr(propcheck, constant, wider)
+    with pytest.raises(AssertionError):
+        assert_integrator_is_certified()
+
+
+def homogeneous_solution_bound() -> float:
+    """A bound on THM4_HOMOG_SOLUTION's violation over its whole sampling box.
+
+    Per axis the residual is fl(fl(M*a) + v) with a = fl(d*e), d =
+    fl(-(v0/M)) and v = fl(v0*e), sharing one e = exp(-t/M) in [0, 1]. In
+    exact arithmetic M*(-(v0/M))*e + v0*e is 0, so the residual is
+    rounding alone: M*a is -v0*e times three factors (1 + delta) and v is
+    v0*e times one, which leaves |v0 e| (u + gamma_3) before the last
+    addition rounds by 1 + u (Higham ch. 3). A quotient or product that
+    underflows adds at most 2^-1075 instead; those of d and a are then
+    multiplied by up to M, so together they add at most (2M + 2) 2^-1075.
+    """
+    u = 2.0**-53
+    gamma3 = 3 * u / (1 - 3 * u)
+    heaviest = MassParams(*[propcheck._MASS[1]] * 3)
+    m_hi = max(heaviest.x_effective, heaviest.y_effective)
+    v = max(map(abs, propcheck._VELOCITY))
+    return v * (u + gamma3) * (1 + u) + (m_hi + 1) * 2.0**-1074
+
+
+def test_homogeneous_solution_is_round_off_within_its_tolerance():
+    # About 4.4e-14 (|v0| = 100) against 1e-9.
+    name = "THM4_HOMOG_SOLUTION"
+    tolerance, draws, evaluate = propcheck.PROPERTIES[name]
+    bound = homogeneous_solution_bound()
+    assert bound <= tolerance
+    assert 4.4e-14 < bound < 4.5e-14
+    for sample in range(200):
+        violation, _ = evaluate(property_stream(42, name, sample * draws))
+        assert violation <= bound
 
 
 #: THM4_DERIVATIVE_FD draws t from [_THM4_DERIVATIVE_T_MIN, _THM4_T_MAX].

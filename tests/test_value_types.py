@@ -1,15 +1,17 @@
 """The five per-point value types check their fields in their own `__init__`.
 
 StagePoint, CameraPoint and ImagePoint (`frames`) and Vec2 and Mat2
-(`linalg2`) are slotted frozen dataclasses with a hand-written `__init__`:
-one `isfinite` test of all fields, and the named `_require_finite` check of
-each field in field order only when that test fails, then each field stored
-through its slot's setter. These tests pin that they behave like plain
-frozen dataclasses with checked fields, that they hold their fields and
-nothing else (no `__dict__`, no weak references), that they pickle at every
-protocol and read the pickles of the `__dict__` layout they had before,
-that a finite value is built without any named check, and that the point
-maps give the bits of their formulas, written out in the tests.
+(`linalg2`) are slotted frozen dataclasses declared through
+`linalg2._value_type`, whose generated `__init__` makes one `isfinite` test
+of all fields, and the named `_require_finite` check of each field in field
+order only when that test fails, then stores each field through its slot's
+setter. These tests pin that every slotted frozen dataclass of those modules
+is declared that way, that they behave like plain frozen dataclasses with
+checked fields, that they hold their fields and nothing else (no
+`__dict__`, no weak references), that they pickle at every protocol and
+read the pickles of the `__dict__` layout they had before, that a finite
+value is built without any named check, and that the point maps give the
+bits of their formulas, written out in the tests.
 """
 
 import copy
@@ -63,6 +65,46 @@ def dict_layout_pickle(cls, values, protocol, monkeypatch) -> bytes:
     with monkeypatch.context() as patch:
         patch.setattr(inspect.getmodule(cls), cls.__name__, twin)
         return pickle.dumps(twin(*values), protocol)
+
+
+def slotted_frozen_dataclasses(module) -> set[type]:
+    return {
+        obj for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+        and dataclasses.is_dataclass(obj) and obj.__dataclass_params__.frozen
+        and "__slots__" in vars(obj)
+    }
+
+
+class TestOneDeclaration:
+    """No slotted frozen dataclass of `frames` or `linalg2` writes its own
+    `__init__` or pickle state: each is declared through `_value_type`."""
+
+    def test_every_slotted_value_type_is_listed(self):
+        found = slotted_frozen_dataclasses(frames) | slotted_frozen_dataclasses(linalg2)
+        assert found == set(TYPES)
+
+    @pytest.mark.parametrize("cls", TYPES, ids=IDS)
+    def test_init_is_the_generated_one(self, cls):
+        twin = linalg2._value_type(
+            type(cls.__name__, (), {
+                "__slots__": cls.__slots__,
+                "__annotations__": dict.fromkeys(cls.__slots__, "float"),
+                "__module__": cls.__module__,
+                "__qualname__": cls.__qualname__,
+            })
+        )
+        assert cls.__init__.__code__ == twin.__init__.__code__
+        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+        assert cls.__init__.__module__ == cls.__module__
+        assert cls.__getstate__ is linalg2._getstate
+        assert cls.__setstate__ is linalg2._setstate
+
+    @pytest.mark.parametrize("name", ["__init__", "__getstate__", "__setstate__"])
+    def test_a_hand_written_method_is_refused(self, name):
+        body = {"__slots__": ("x",), "__annotations__": {"x": "float"}, name: lambda *a: None}
+        with pytest.raises(TypeError, match="^Own writes what _value_type generates$"):
+            linalg2._value_type(type("Own", (), body))
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=IDS)
