@@ -9,14 +9,15 @@ included), 3 numerical failure, 141 stdout closed by its reader before the
 output was written (128 + SIGPIPE, as a shell reports it; nothing is
 printed). All numbers are printed with 17 significant digits and a '.'
 decimal separator regardless of locale; identical inputs give
-byte-identical output. `simulate` replaces --out only with a complete
-CSV. It streams the path in windows of at most 65,536 rows, so its memory
-does not grow with the horizon: it integrates each window from the last
-row of the one before while forked workers, at most one per usable CPU,
-render the windows already integrated (one process on one usable CPU and
-for outputs under two 4,096-row chunks). A render chunk of 1,024 rows
-formats any column but time whose values all have the same bits once, into
-its row template. `verify` forks once per run, one worker per usable CPU
+byte-identical output. `simulate` replaces --out, through its links and
+keeping its mode, only with a complete CSV. It streams the path in
+windows of at most 65,536 rows, so its memory does not grow with the
+horizon: it integrates each window from the last row of the one before
+while forked workers, at most one per usable CPU, render the windows
+already integrated (one process on one usable CPU and for outputs under
+two 4,096-row chunks). A render chunk of 1,024 rows formats any column
+but time whose values all have the same bits once, into its row
+template. `verify` forks once per run, one worker per usable CPU
 (at most one per sample), splits every property's samples among them and
 streams each report line as soon as its ranges are merged. Both fork
 through one helper, `_Workers`, and neither's bytes depend on how many
@@ -34,6 +35,7 @@ import os
 import signal
 import stat
 import sys
+import tempfile
 from collections import deque
 from itertools import chain, repeat
 from pathlib import Path
@@ -196,19 +198,10 @@ def _render_window(handle, window: Trajectory, config: ScenarioConfig, start: in
         handle.write(render_trajectory_csv(window, config, first, first + _RENDER_ROWS))
 
 
-def _render_part(part: int, window: Trajectory, config: ScenarioConfig, start: int):
-    """_render_window into the file open as descriptor part."""
-    with open(part, "w", newline="\n", closefd=False) as handle:
+def _render_part(part, window: Trajectory, config: ScenarioConfig, start: int):
+    """_render_window into the open file part."""
+    with open(part.fileno(), "w", newline="\n", closefd=False) as handle:
         _render_window(handle, window, config, start)
-
-
-def _open_part(part_prefix: str, start: int) -> int:
-    """A new file named from part_prefix and start, unlinked at once so only
-    its descriptor names it."""
-    part_path = f"{part_prefix}.{start}.part"
-    part = os.open(part_path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
-    os.unlink(part_path)
-    return part
 
 
 def _append_part(fd: int, part: int) -> None:
@@ -224,15 +217,19 @@ def _append_part(fd: int, part: int) -> None:
 _RENDERED_HERE = 0
 
 
-def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, part_prefix: str):
-    """Integrate and render the path in windows; see cmd_simulate."""
+def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, directory: str):
+    """Integrate and render the path in windows; see cmd_simulate.
+
+    Each part file is a `tempfile.TemporaryFile` in directory, which no
+    name in it shows, so it vanishes when closed or when the process dies.
+    """
     m, init, w, dt = config.masses, config.initial, config.wrench, config.dt
     windows = max(_csv_parts(rows), -(-rows // _WINDOW_ROWS))
     bounds = [rows * i // windows for i in range(windows + 1)]
     cpus = _usable_cpus()
     state = (init.x, init.y, init.xdot, init.ydot)
-    # [pid, part, start, stop, state at row start - 1] of each window being
-    # rendered into a part, in row order.
+    # [pid, part file, start, stop, state at row start - 1] of each window
+    # being rendered into a part, in row order.
     shares = deque()
     path_error = row_error = None
 
@@ -249,14 +246,14 @@ def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, part_pref
             if path_error is None and row_error is None:
                 if rendered:
                     handle.flush()
-                    _append_part(fd, part)
+                    _append_part(fd, part.fileno())
                 else:
                     window = window_at(start_state, start, stop)
                     _render_window(handle, window, config, start)
         except DomainError as exc:
             row_error = exc
         finally:
-            os.close(part)
+            part.close()
 
     with _Workers() as workers:
         try:
@@ -278,11 +275,11 @@ def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, part_pref
                 if stop < rows and cpus > 1:
                     while len(shares) >= cpus:
                         append_oldest()
-                    part = _open_part(part_prefix, start)
+                    part = tempfile.TemporaryFile(dir=directory, buffering=0)
                     shares.append([None, part, start, stop, start_state])
                     shares[-1][0] = workers.spawn(_render_part, part, window, config, start)
                 elif shares:
-                    part = _open_part(part_prefix, start)
+                    part = tempfile.TemporaryFile(dir=directory, buffering=0)
                     shares.append([None, part, start, stop, start_state])
                     try:
                         _render_part(part, window, config, start)
@@ -300,23 +297,9 @@ def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, part_pref
                 append_oldest()
         finally:
             for _, part, *_ in shares:
-                os.close(part)
+                part.close()
     if path_error is not None or row_error is not None:
         raise path_error or row_error
-
-
-def _temporary_path(directory: str, name: str, token: str) -> str:
-    """directory/.{name}.{token}.tmp, with name cut short to fit the
-    directory's limit on name bytes, if the system states one. Raises
-    OSError for a missing directory or a name over that limit."""
-    limit = os.pathconf(directory, "PC_NAME_MAX") if hasattr(os, "pathconf") else -1
-    encoded = os.fsencode(name)
-    suffix = f".{token}.tmp"
-    if limit >= 0:
-        if len(encoded) > limit:
-            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG))
-        encoded = encoded[: max(limit - 1 - len(suffix), 0)]
-    return os.path.join(directory, f".{os.fsdecode(encoded)}{suffix}")
 
 
 def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
@@ -332,47 +315,52 @@ def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
     whose worker failed or could not be forked is integrated and rendered
     again here. Errors come in the order one process meets them: a divergence
     first, then a bad time or state column, then the first bad row, and
-    none is raised before the kernel has finished. The CSV goes to a
-    temporary file beside out_path that replaces it once complete; its
-    hidden name shortens out_path's base name as far as the directory's
-    name limit needs. On any failure the workers are killed and reaped,
-    the temporary file is removed and out_path is untouched. An out_path
-    that is empty, names a directory, has a base name longer than the
-    directory takes or lies where the temporary file cannot be made raises
-    an OSError naming out_path before any row is integrated: for the first
-    three, and for a missing parent directory, the one open(out_path, "w")
-    raises. An out_path that exists and is not a regular file, such as a
+    none is raised before the kernel has finished.
+
+    The CSV goes where open(out_path, "w") would write it: through any
+    symbolic links to their final target, which a temporary file
+    `.{12 hex digits}.tmp` beside it replaces once complete, so the links
+    stay as they were. An existing target keeps its permission bits, not
+    its owner; a new one is 0o666 under the umask. On any failure the
+    workers are killed and reaped, the temporary file is removed and the
+    target is untouched. An out_path that open(out_path, "w") refuses (an
+    empty one, a directory, a link loop, a base name over the directory's
+    limit) raises the OSError open raises, naming out_path, before any row
+    is integrated; so does a directory where the temporary file cannot be
+    made. An out_path that exists and is not a regular file, such as a
     FIFO, raises one too and is left as it was.
     """
     rows = _row_count(config.initial, config.dt, config.t_end)
     # Each check raises what open(out_path, "w") raises, before the path is
-    # integrated; a FIFO or device is refused rather than replaced.
+    # integrated: os.stat raises it for a link loop or a name too long. A
+    # FIFO or device is refused rather than replaced.
+    if out_path.endswith(os.sep):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
     try:
         mode = os.stat(out_path).st_mode
-    except (OSError, ValueError):
-        mode = stat.S_IFREG  # Missing or unreachable: the checks below apply.
-    if out_path.endswith(os.sep) or stat.S_ISDIR(mode):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
-    if not stat.S_ISREG(mode):
-        raise OSError(errno.EINVAL, "not a regular file", out_path)
-    if not out_path:
-        # Its temporary file would go beside the working directory.
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
-    directory, name = os.path.split(os.path.abspath(out_path))
-    token = os.urandom(6).hex()
+    except FileNotFoundError:
+        if not out_path:
+            raise  # Its temporary file would go beside the working directory.
+        mode = None  # A new file: 0o666 under the umask.
+    else:
+        if stat.S_ISDIR(mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
+        if not stat.S_ISREG(mode):
+            raise OSError(errno.EINVAL, "not a regular file", out_path)
+    target = os.path.realpath(out_path)
+    directory = os.path.dirname(target)
+    tmp_path = os.path.join(directory, f".{os.urandom(6).hex()}.tmp")
     try:
-        tmp_path = _temporary_path(directory, name, token)
         fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
-        # A missing or unusable directory, or a name too long for it: name
-        # out_path, not the hidden file.
+        # A missing or unusable directory: name out_path, not the hidden file.
         raise OSError(exc.errno, exc.strerror, out_path) from None
     try:
+        if mode is not None:
+            os.fchmod(fd, mode & 0o777)
         with open(fd, "w", newline="\n") as handle:
-            # Part files are unlinked once opened, so their names need only
-            # be unique in the directory, not carry out_path's.
-            _write_windows(handle, fd, config, rows, os.path.join(directory, f".{token}"))
-        os.replace(tmp_path, out_path)
+            _write_windows(handle, fd, config, rows, directory)
+        os.replace(tmp_path, target)
     except BaseException:
         os.unlink(tmp_path)
         raise

@@ -1,7 +1,9 @@
 import dataclasses
+import errno
 import marshal
 import math
 import os
+import re
 import resource
 import stat
 import subprocess
@@ -468,6 +470,156 @@ class TestSimulate:
         assert list(work.iterdir()) == []
 
 
+def listing(directory) -> list[str]:
+    return sorted(os.listdir(directory))
+
+
+def entry(path) -> tuple:
+    """What a run must leave as it was: a link's text, or a file's bytes and
+    permission bits."""
+    if os.path.islink(path):
+        return ("link", os.readlink(path))
+    return ("file", path.read_bytes(), stat.S_IMODE(os.stat(path).st_mode))
+
+
+class TestOutLinksAndModes:
+    """`simulate` writes through a symbolic --out as open(out, "w") would,
+    and an existing --out keeps its permission bits."""
+
+    @staticmethod
+    def simulate(out, cfg=REFERENCE_CONFIG) -> int:
+        return cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
+
+    def test_link_is_written_through(self, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("previous contents\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to("real.csv")
+        assert self.simulate(link) == 0
+        assert os.readlink(link) == "real.csv"
+        assert real.read_bytes() == GOLDEN_CSV.read_bytes()
+        assert listing(tmp_path) == ["link.csv", "real.csv"]
+
+    def test_target_is_replaced_from_its_own_directory(self, monkeypatch, tmp_path):
+        # link.csv -> hop.csv -> ../data/real.csv: the temporary file goes
+        # beside real.csv, and neither link changes.
+        links, data = tmp_path / "links", tmp_path / "data"
+        links.mkdir()
+        data.mkdir()
+        real = data / "real.csv"
+        real.write_text("previous contents\n")
+        (links / "hop.csv").symlink_to(os.path.join(os.pardir, "data", "real.csv"))
+        (links / "link.csv").symlink_to("hop.csv")
+        seen = []
+        render_window = cli._render_window
+
+        def listing_render(handle, window, config, start):
+            seen.append((listing(links), listing(data)))
+            render_window(handle, window, config, start)
+
+        monkeypatch.setattr(cli, "_render_window", listing_render)
+        assert self.simulate(links / "link.csv") == 0
+        [(during_links, during_data)] = seen
+        assert during_links == ["hop.csv", "link.csv"]
+        assert len(during_data) == 2 and "real.csv" in during_data
+        assert os.readlink(links / "link.csv") == "hop.csv"
+        assert os.readlink(links / "hop.csv") == os.path.join(os.pardir, "data", "real.csv")
+        assert real.read_bytes() == GOLDEN_CSV.read_bytes()
+        assert listing(data) == ["real.csv"]
+
+    def test_dangling_link_gets_its_target(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        link = tmp_path / "link.csv"
+        link.symlink_to(os.path.join("data", "new.csv"))
+        assert self.simulate(link) == 0
+        assert os.readlink(link) == os.path.join("data", "new.csv")
+        assert (tmp_path / "data" / "new.csv").read_bytes() == GOLDEN_CSV.read_bytes()
+        assert listing(tmp_path) == ["data", "link.csv"]
+        assert listing(tmp_path / "data") == ["new.csv"]
+
+    def test_dangling_link_into_a_missing_directory_exits_2(self, tmp_path):
+        link = tmp_path / "link.csv"
+        link.symlink_to(os.path.join("missing", "new.csv"))
+        with pytest.raises(OSError) as expected:
+            open(link, "w")
+        result = run_cli("simulate", "--config", str(REFERENCE_CONFIG), "--out", str(link))
+        assert (result.returncode, result.stderr) == (2, f"error: {expected.value}\n")
+        assert os.readlink(link) == os.path.join("missing", "new.csv")
+        assert listing(tmp_path) == ["link.csv"]
+
+    @pytest.mark.parametrize(
+        "loop", [{"loop1": "loop2", "loop2": "loop1"}, {"loop1": "loop1"}], ids=["two", "self"]
+    )
+    def test_link_loop_exits_2_before_integrating(self, loop, monkeypatch, tmp_path):
+        def no_path(*args):
+            raise AssertionError("integrated a path whose --out is a link loop")
+
+        for name, target in loop.items():
+            (tmp_path / name).symlink_to(target)
+        out = str(tmp_path / "loop1")
+        with pytest.raises(OSError) as expected:
+            open(out, "w")
+        assert expected.value.errno == errno.ELOOP
+        monkeypatch.setattr(cli, "_path", no_path)
+        with pytest.raises(OSError) as excinfo:
+            cli.cmd_simulate(parse_config(REFERENCE_CONFIG.read_bytes()), out)
+        assert str(excinfo.value) == str(expected.value)
+        assert excinfo.value.filename == out
+        monkeypatch.undo()
+        result = run_cli("simulate", "--config", str(REFERENCE_CONFIG), "--out", out)
+        assert result.returncode == 2
+        assert result.stderr == f"error: [Errno 40] Too many levels of symbolic links: {out!r}\n"
+        assert {name: os.readlink(tmp_path / name) for name in loop} == loop
+        assert listing(tmp_path) == sorted(loop)
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640, 0o604])
+    def test_existing_out_keeps_its_mode(self, mode, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_text("previous contents\n")
+        out.chmod(mode)
+        assert self.simulate(out) == 0
+        assert out.read_bytes() == GOLDEN_CSV.read_bytes()
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    def test_link_target_keeps_its_mode(self, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("previous contents\n")
+        real.chmod(0o600)
+        link = tmp_path / "link.csv"
+        link.symlink_to("real.csv")
+        assert self.simulate(link) == 0
+        assert stat.S_IMODE(real.stat().st_mode) == 0o600
+        assert os.readlink(link) == "real.csv"
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_new_out_takes_its_mode_from_the_umask(self, umask, mode, tmp_path):
+        out = tmp_path / "out.csv"
+        result = run_cli(
+            "simulate", "--config", str(REFERENCE_CONFIG), "--out", str(out),
+            preexec_fn=lambda: os.umask(umask),
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    def test_failed_run_leaves_link_target_and_directories(self, tmp_path):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text(OVERFLOWING_TIME)
+        data = tmp_path / "data"
+        data.mkdir()
+        real = data / "real.csv"
+        real.write_text("previous contents\n")
+        real.chmod(0o600)
+        link = tmp_path / "link.csv"
+        link.symlink_to(os.path.join("data", "real.csv"))
+        before = {path: entry(path) for path in (link, real)}
+        result = run_cli("simulate", "--config", str(cfg), "--out", str(link))
+        assert result.returncode == 2
+        assert result.stderr == "error: t[3] must be finite, got inf\n"
+        assert {path: entry(path) for path in (link, real)} == before
+        assert listing(tmp_path) == ["data", "inf.cfg", "link.csv"]
+        assert listing(data) == ["real.csv"]
+
+
 class TestForkedWriter:
     """`simulate` splits the rows among forked workers; nothing may show it."""
 
@@ -623,6 +775,31 @@ class TestForkedWriter:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["fine.cfg", long.name, "short.csv"]
         )
+
+    def test_scratch_files_are_not_named_after_out(self, fine_config, monkeypatch, tmp_path):
+        # Two workers render windows 0 and 1 into part files and this
+        # process window 2 into a third; the directory is listed as each
+        # part is appended.
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        directory = tmp_path / "out"
+        directory.mkdir()
+        out = directory / long_name(255)
+        seen = []
+        append_part = cli._append_part
+
+        def listing_append(fd, part):
+            seen.append(os.listdir(directory))
+            append_part(fd, part)
+
+        monkeypatch.setattr(cli, "_append_part", listing_append)
+        assert self.simulate(fine_config, out, 3, monkeypatch) == 0
+        assert len(seen) == 3
+        for names in seen:
+            [name] = names
+            assert re.fullmatch(r"\.[0-9a-f]{12}\.tmp", name), name
+            assert out.stem not in name
+        assert os.listdir(directory) == [out.name]
+        assert out.read_bytes() == self.single_render(fine_config)
 
 
 def _open_fds() -> set[str]:

@@ -31,12 +31,13 @@ import dataclasses
 import math
 import operator
 import random
+import types
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from cellstage import _backend, cli, propcheck
+from cellstage import _backend, cli, frames, propcheck
 from cellstage._rng import property_stream
 from cellstage.dynamics import MassParams, StageState, Wrench, simulate
 from cellstage.frames import Calibration, StagePoint, stage_to_image, transformation_matrix
@@ -469,3 +470,205 @@ def test_a_wider_box_breaks_the_derivative_fd_certificate(constant, wider, monke
     monkeypatch.setattr(propcheck, constant, wider)
     with pytest.raises(AssertionError):
         assert_derivative_fd_is_certified()
+
+
+# Certificates for six frame properties. Each violation is round-off alone,
+# under a normalisation that scales with the terms the computation moves
+# through, so its bound is a few u = 2^-53 whatever the draw (Higham ch. 3:
+# each +, - and * rounds by a factor 1 + delta, |delta| <= u, and a result
+# that underflows gains at most 2^-1075 instead).
+
+#: The unit roundoff, exactly.
+U = Fraction(1, 2**53)
+
+#: What the bounds assume of math.cos and math.sin: within 1 ulp of the
+#: exact value, a relative error of at most 2u. glibc documents errors below
+#: 1 ulp for both; test_cos_and_sin_are_within_the_assumed_error checks it at
+#: sampled angles.
+TRIG_ERROR = 2 * U
+
+#: Absolute allowance for results that underflow, a few 2^-1075 each; the
+#: normalisations are at least 1, so it is added as it is.
+UNDERFLOW = Fraction(16, 2**1075)
+
+#: Samples of each property checked against its bound.
+FRAME_SAMPLES = 4000
+
+
+def gamma(n: int) -> Fraction:
+    """gamma_n = n u / (1 - n u), which bounds |prod (1 + delta_i) - 1| over
+    n roundings (Higham Lemma 3.1)."""
+    return n * U / (1 - n * U)
+
+
+def frame_violations(name: str, seed: int = 11):
+    """The violations of FRAME_SAMPLES samples of property name."""
+    evaluate = propcheck.PROPERTIES[name][2]
+    rng = property_stream(seed, name)
+    return [evaluate(rng)[0] for _ in range(FRAME_SAMPLES)]
+
+
+@pytest.mark.parametrize(
+    "name", ["THM1_CAMERA_STAGE", "THM2_IMAGE_CAMERA", "FRAMES_FACTORIZATION"]
+)
+def test_frame_properties_that_repeat_the_library_are_exact(name):
+    """These three checks compute the library's products and sums again, in
+    the library's order, so each violation is exactly 0 for every draw.
+
+    - THM1_CAMERA_STAGE: `frames._affine` on R(alpha) and (dx, dy) gives
+      xc = (cos*x + sin*y) + dx and yc = ((-sin)*x + cos*y) + dy; the check
+      computes x*cos + y*sin + dx and (-x)*sin + y*cos + dy, left to right.
+      Rounding is symmetric in the sign and products commute, so every
+      operation has the same operands and the same result.
+    - THM2_IMAGE_CAMERA: `_affine` on diag(fx, fy) with offset -0.0 gives
+      (fx*xc + 0.0*yc) + -0.0. With |xc|, |yc| <= 100 and fx <= 100 nothing
+      overflows, and adding zeros leaves fx*xc, the check's value, up to
+      the sign of a zero, which |got - want| does not see.
+    - FRAMES_FACTORIZATION: each entry of T(c) is one product, fx*cos,
+      fx*sin, (-fy)*sin or fy*cos, and the matching entry of diag(fx, fy)
+      R(alpha) is the same product plus a product with 0.0, that is plus a
+      zero.
+
+    No reordering of `_affine` can change the last two, which add only
+    zeros; test_a_reordered_affine_breaks_camera_stage_exactness shows one
+    that changes the first.
+    """
+    assert max(frame_violations(name)) == 0.0
+
+
+def test_a_reordered_affine_breaks_camera_stage_exactness(monkeypatch):
+    def reordered(a, x, y):
+        a11, a12, a21, a22, b1, b2 = a
+        return a11 * x + (a12 * y + b1), a21 * x + (a22 * y + b2)
+
+    monkeypatch.setattr(frames, "_affine", reordered)
+    assert max(frame_violations("THM1_CAMERA_STAGE")) > 0.0
+
+
+def image_stage_bound() -> Fraction:
+    """A bound on THM3_IMAGE_STAGE's violation for every draw.
+
+    The check takes the largest of four normalised gaps. Its raw affine
+    form fx*cos*x + fx*sin*y + fx*dx is `frames._affine` on the cached
+    coefficients T(c) and (fx*dx, fy*dy), in the same order, so two gaps
+    are exactly 0. The other two compare stage_to_image with
+    camera_to_image(stage_to_camera(p)). With cos and sin the float values
+    both share, and |cos|, |sin| <= 1, the exact value is
+    U = fx*(cos*x + sin*y + dx). stage_to_image rounds the x and y terms
+    four times (fx*cos, the product with x, two sums) and the dx term twice
+    (fx*dx, the last sum); the composition rounds them four times (cos*x,
+    two sums, fx*) and twice too (the last sum, fx*). So each is within
+    gamma_4 * D of U, with D = fx*(|x| + |y| + dx), and the gap within
+    2 gamma_4 D. The check's float D is at least D(1 - u)^3, and its
+    subtraction and division add a factor (1 + u) each. The same holds for
+    v with fy, -sin, cos and dy. Beyond |cos|, |sin| <= 1, no accuracy of
+    cos or sin is assumed.
+    """
+    return (2 * gamma(4) / (1 - U) ** 3 + UNDERFLOW) * (1 + U) ** 2
+
+
+def det_scale_bound() -> Fraction:
+    """A bound on FRAMES_DET_SCALE's violation for every draw.
+
+    det T = (fx*c)*(fy*c) - (fx*s)*((-fy)*s) with c, s the float cos and
+    sin of alpha. Each product is fx*fy times C^2 or S^2 (the exact cos^2
+    and sin^2) times (1 + TRIG_ERROR)^2 at most and three roundings, and
+    the subtraction rounds once more; as C^2 + S^2 = 1, det / (fx*fy) lies
+    in [L, H] = [(1 - t)^2 (1 - u)^4, (1 + t)^2 (1 + u)^4]. The reference
+    fl(fx*fy) is within u of fx*fy, the normalisation max(1, fl(fx*fy)) is
+    at least fx*fy*(1 - u), and the subtraction and division add (1 + u)
+    each.
+    """
+    t = TRIG_ERROR
+    high = (1 + t) ** 2 * (1 + U) ** 4
+    low = (1 - t) ** 2 * (1 - U) ** 4
+    return (max(high - 1, 1 - low) + U + UNDERFLOW) * (1 + U) ** 2 / (1 - U)
+
+
+def rotation_inverse_bound() -> Fraction:
+    """A bound on FRAMES_ROTATION_INVERSE's violation for every draw.
+
+    R(alpha) R(-alpha) has diagonal entries c*c' + s*(-s') and
+    (-s)*s' + c*c', with c, s the float cos and sin of alpha and c', s'
+    those of -alpha. Each of c, c' is C (the exact cos alpha) and each of
+    s, -s' is S times a factor within TRIG_ERROR of 1, and each entry takes
+    two product roundings and one sum, so as C^2 + S^2 = 1 a diagonal
+    entry lies in [L, H] = [(1 - t)^2 (1 - u)^2, (1 + t)^2 (1 + u)^2]; it
+    lies in [1/2, 2], so the check's subtraction of 1 is exact. An
+    off-diagonal entry, c*s' + s*c' or (-s)*c' + c*(-s'), is C*S times the
+    difference of two such factors, at most (H - L)/2 as |C*S| <= 1/2.
+    """
+    t = TRIG_ERROR
+    high = (1 + t) ** 2 * (1 + U) ** 2
+    low = (1 - t) ** 2 * (1 - U) ** 2
+    return max(high - 1, 1 - low, (high - low) / 2) + UNDERFLOW
+
+
+#: Each round-off property, its bound, and the bound in units of u.
+ROUND_OFF_FRAMES = pytest.mark.parametrize(
+    "name, bound, in_u",
+    [
+        ("THM3_IMAGE_STAGE", image_stage_bound, 8),
+        ("FRAMES_DET_SCALE", det_scale_bound, 9),
+        ("FRAMES_ROTATION_INVERSE", rotation_inverse_bound, 6),
+    ],
+    ids=["THM3_IMAGE_STAGE", "FRAMES_DET_SCALE", "FRAMES_ROTATION_INVERSE"],
+)
+
+
+@ROUND_OFF_FRAMES
+def test_frame_round_off_is_within_its_tolerance(name, bound, in_u):
+    # The worst of these samples read 3.1u, 3.8u and 2.0u (of 20,000 at
+    # seed 11: 3.7u, 3.8u and 2.0u).
+    tolerance = propcheck.PROPERTIES[name][0]
+    certified = bound()
+    assert float(certified) <= tolerance
+    assert in_u * U < certified < (in_u + Fraction(1, 100)) * U
+    assert max(map(Fraction, frame_violations(name))) <= certified
+
+
+def test_cos_and_sin_are_within_the_assumed_error():
+    angles = [*propcheck._ALPHA, 0.0, 2.0**-1074]
+    for name in ("FRAMES_DET_SCALE", "FRAMES_ROTATION_INVERSE"):
+        draws = propcheck.PROPERTIES[name][1]
+        # alpha is the first draw of each sample.
+        angles += [
+            property_stream(11, name, i * draws).uniform(*propcheck._ALPHA)
+            for i in range(500)
+        ]
+    with mpmath.workdps(50):
+        for alpha in angles + [-a for a in angles]:
+            for computed, exact_value in (
+                (math.cos(alpha), mpmath.cos(alpha)),
+                (math.sin(alpha), mpmath.sin(alpha)),
+            ):
+                error = abs(mpmath.mpf(computed) - exact_value)
+                assert error <= mpmath.mpf(float(TRIG_ERROR)) * abs(exact_value), alpha
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [("FRAMES_DET_SCALE", det_scale_bound), ("FRAMES_ROTATION_INVERSE", rotation_inverse_bound)],
+    ids=["FRAMES_DET_SCALE", "FRAMES_ROTATION_INVERSE"],
+)
+def test_a_less_accurate_sine_breaks_the_frame_bound(name, bound, monkeypatch):
+    # A sine 8 ulps high, in frames only: its square grows by about 32u.
+    coarse = types.SimpleNamespace(cos=math.cos, sin=lambda a: math.sin(a) * (1 + 2.0**-49))
+    monkeypatch.setattr(frames, "math", coarse)
+    assert max(map(Fraction, frame_violations(name))) > bound()
+
+
+def test_a_result_sized_normalisation_breaks_the_image_stage_bound():
+    """THM3_IMAGE_STAGE divides by the size of the terms, D, not of the
+    result: where x and y nearly cancel dx, u is small while the round-off
+    still scales with D."""
+    rng = property_stream(11, "THM3_IMAGE_STAGE")
+    worst = Fraction(0)
+    for _ in range(FRAME_SAMPLES):
+        c = propcheck.sample_calibration(rng)
+        p = propcheck.sample_stage_point(rng)
+        direct = frames.stage_to_image(p, c)
+        composed = frames.camera_to_image(frames.stage_to_camera(p, c), c)
+        gap = max(abs(direct.u - composed.u), abs(direct.v - composed.v))
+        worst = max(worst, Fraction(gap) / Fraction(max(1.0, abs(direct.u), abs(direct.v))))
+    assert worst > image_stage_bound()
