@@ -37,7 +37,7 @@ import stat
 import sys
 import tempfile
 from collections import deque
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 from . import propcheck
@@ -50,7 +50,7 @@ from .frames import (
     stage_to_image,
     stage_to_image_columns,
 )
-from .linalg2 import _require_finite
+from .linalg2 import _require_finite_rows
 from .scenario import ScenarioConfig, parse_config
 
 EXIT_OK = 0
@@ -94,12 +94,9 @@ def render_trajectory_csv(
     y = traj.y[rows]
     xc, yc = stage_to_camera_columns(x, y, config.calibration)
     u, v = stage_to_image_columns(x, y, config.calibration)
-    if not all(map(math.isfinite, chain(xc, yc, u, v))):
-        # Row by row, so the error names the first bad row whatever split
-        # of the rows into chunks or windows led here.
-        for row, values in enumerate(zip(xc, yc, u, v), traj.first + start):
-            for name, value in zip(("xc", "yc", "u", "v"), values):
-                _require_finite(f"{name}[{row}]", value)
+    # Named by path row, so whatever split of the rows into chunks or
+    # windows led here, the error names the same row.
+    _require_finite_rows(("xc", "yc", "u", "v"), (xc, yc, u, v), traj.first + start)
     # Time is never folded: zip over no columns would give no rows.
     varying = [traj.times(start, stop)]
     fields = ["%.17g"]
@@ -135,6 +132,12 @@ def _usable_cpus() -> int:
     if sys.platform != "linux":
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def _processes(units: int) -> int:
+    """How many processes share `units` units of work: one per usable CPU,
+    but at most one per unit, and at least one."""
+    return max(1, min(_usable_cpus(), units))
 
 
 class _Workers:
@@ -182,15 +185,6 @@ class _Workers:
             os.waitpid(pid, 0)
 
 
-def _csv_parts(rows: int) -> int:
-    """The fewest windows a CSV of `rows` rows is split into.
-
-    One per usable CPU, but at most one per full chunk, so outputs under
-    two chunks fork nothing.
-    """
-    return max(1, min(_usable_cpus(), rows // _CSV_CHUNK_ROWS))
-
-
 def _render_window(handle, window: Trajectory, config: ScenarioConfig, start: int):
     """Write the window's rows from row start of the path on to handle,
     _RENDER_ROWS at a time."""
@@ -224,7 +218,7 @@ def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, directory
     name in it shows, so it vanishes when closed or when the process dies.
     """
     m, init, w, dt = config.masses, config.initial, config.wrench, config.dt
-    windows = max(_csv_parts(rows), -(-rows // _WINDOW_ROWS))
+    windows = max(_processes(rows // _CSV_CHUNK_ROWS), -(-rows // _WINDOW_ROWS))
     bounds = [rows * i // windows for i in range(windows + 1)]
     cpus = _usable_cpus()
     state = (init.x, init.y, init.xdot, init.ydot)
@@ -305,8 +299,9 @@ def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, directory
 def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
     """Write the path's CSV to out_path, streamed in windows of rows.
 
-    There are max(_csv_parts(rows), ceil(rows / _WINDOW_ROWS)) equal
-    windows. This process integrates each window from the previous one's
+    There are max(_processes(rows // _CSV_CHUNK_ROWS), ceil(rows /
+    _WINDOW_ROWS)) equal windows, so outputs under two chunks are one
+    window. This process integrates each window from the previous one's
     last row; a forked worker renders it into a part file, at most one live
     worker per usable CPU, and this process renders the last window. On one
     usable CPU this process renders every window itself and forks nothing.
@@ -320,15 +315,16 @@ def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
     The CSV goes where open(out_path, "w") would write it: through any
     symbolic links to their final target, which a temporary file
     `.{12 hex digits}.tmp` beside it replaces once complete, so the links
-    stay as they were. An existing target keeps its permission bits, not
-    its owner; a new one is 0o666 under the umask. On any failure the
-    workers are killed and reaped, the temporary file is removed and the
-    target is untouched. An out_path that open(out_path, "w") refuses (an
-    empty one, a directory, a link loop, a base name over the directory's
-    limit) raises the OSError open raises, naming out_path, before any row
-    is integrated; so does a directory where the temporary file cannot be
-    made. An out_path that exists and is not a regular file, such as a
-    FIFO, raises one too and is left as it was.
+    stay as they were. A hard link is not written through: the target
+    becomes a new file and its other names keep the old bytes. An existing
+    target keeps its permission bits, not its owner; a new one is 0o666
+    under the umask. On any failure the workers are killed and reaped, the
+    temporary file is removed and the target is untouched. An out_path that
+    open(out_path, "w") refuses (an empty one, a directory, a link loop, a
+    base name over the directory's limit) raises the OSError open raises,
+    naming out_path, before any row is integrated; so does a directory where
+    the temporary file cannot be made. An out_path that exists and is not a
+    regular file, such as a FIFO, raises one too and is left as it was.
     """
     rows = _row_count(config.initial, config.dt, config.t_end)
     # Each check raises what open(out_path, "w") raises, before the path is
@@ -376,12 +372,6 @@ def cmd_transform(config: ScenarioConfig, x: float, y: float) -> int:
     return EXIT_OK
 
 
-def _verify_workers(samples: int) -> int:
-    """How many processes split each property's samples: one per usable
-    CPU, but at most one per sample."""
-    return min(_usable_cpus(), samples)
-
-
 def _scan_into(write_fd: int, seed: int, start: int, stop: int) -> None:
     """Write one marshal record per property, in registry order, of samples
     start..stop-1, to the pipe write_fd."""
@@ -427,15 +417,15 @@ def _scanned_share(worker, property_id: str, seed: int):
 def cmd_verify(samples: int, seed: int) -> int:
     """Stream one report line (plus counterexample on failure) per property.
 
-    Each property's samples are split into _verify_workers(samples)
-    contiguous ranges. This process scans the first; one worker, forked
-    once per run, scans each other range of every property. Each line is
-    printed as soon as its ranges are merged, and the bytes do not depend
-    on the number of ranges. On any exception the workers are killed and
-    reaped; a normal return has reaped them too.
+    Each property's samples are split into _processes(samples) contiguous
+    ranges: one per usable CPU, at most one per sample. This process scans
+    the first; one worker, forked once per run, scans each other range of
+    every property. Each line is printed as soon as its ranges are merged,
+    and the bytes do not depend on the number of ranges. On any exception
+    the workers are killed and reaped; a normal return has reaped them too.
     """
     propcheck._check_run_args(samples, seed)
-    parts = _verify_workers(samples)
+    parts = _processes(samples)
     bounds = [samples * i // parts for i in range(parts + 1)]
     shares = []
     all_passed = True

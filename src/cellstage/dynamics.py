@@ -39,7 +39,8 @@ from .linalg2 import (
     mat_mul,
     mat_vec_mul,
     _require_finite,
-    _require_finite_column,
+    _require_finite_fields,
+    _require_finite_rows,
     _require_positive,
 )
 
@@ -90,10 +91,7 @@ class Wrench:
     feyd: float = 0.0
 
     def __post_init__(self):
-        _require_finite("taux", self.taux)
-        _require_finite("tauy", self.tauy)
-        _require_finite("fexd", self.fexd)
-        _require_finite("feyd", self.feyd)
+        _require_finite_fields(self)
 
     def net_input(self) -> Vec2:
         """Right side of the equation of motion: tau - fe_d."""
@@ -117,14 +115,7 @@ class StageState:
     ydot: float
 
     def __post_init__(self):
-        for name, value in (
-            ("t", self.t),
-            ("x", self.x),
-            ("y", self.y),
-            ("xdot", self.xdot),
-            ("ydot", self.ydot),
-        ):
-            _require_finite(name, value)
+        _require_finite_fields(self)
 
 
 class Trajectory:
@@ -135,7 +126,7 @@ class Trajectory:
     is a window of a longer path. The columns are kept as given; a
     StageState is built only when a sample is indexed or iterated. Every
     column value must be finite and the time column must be finite and
-    strictly increasing.
+    strictly increasing; an error names the first bad row of the path.
     """
 
     __slots__ = ("t0", "dt", "x", "y", "xdot", "ydot", "first")
@@ -146,12 +137,12 @@ class Trajectory:
         n = len(x)
         if n == 0:
             raise DomainError("trajectory must contain at least one sample")
-        for name, column in (("x", x), ("y", y), ("xdot", xdot), ("ydot", ydot)):
+        names = ("x", "y", "xdot", "ydot")
+        columns = (x, y, xdot, ydot)
+        for name, column in zip(names, columns):
             if len(column) != n:
-                raise DomainError(
-                    f"column {name} has {len(column)} samples, x has {n}"
-                )
-            _require_finite_column(name, column)
+                raise DomainError(f"column {name} has {len(column)} samples, x has {n}")
+        _require_finite_rows(names, columns, first)
         self.t0 = t0
         self.dt = dt
         self.x = x
@@ -222,8 +213,7 @@ def _require_solution_times(init: StageState, times) -> None:
     """The closed forms start at t = 0 and take finite times t >= 0."""
     if init.t != 0.0:
         raise DomainError(f"initial state must be at t=0, got t={init.t!r}")
-    if not all(map(math.isfinite, times)):
-        _require_finite("t", next(t for t in times if not math.isfinite(t)))
+    _require_finite_outputs(("t",), (times,))
     if min(times, default=0.0) < 0.0:
         t = next(t for t in times if t < 0.0)
         raise DomainError(f"t must be >= 0, got {t!r}")

@@ -37,6 +37,24 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be positive, got {value!r}")
 
 
+def _require_finite_rows(names, columns, first: int = 0) -> None:
+    """Check equal-length columns, named by names, whose entry i is row
+    first + i. Only if a column holds a non-finite value are the rows read
+    one by one, columns in order within each, so the error names the first
+    bad row of the path."""
+    if not all(all(map(math.isfinite, column)) for column in columns):
+        for row, values in enumerate(zip(*columns), first):
+            for name, value in zip(names, values):
+                _require_finite(f"{name}[{row}]", value)
+
+
+def _require_finite_fields(value) -> None:
+    """`_require_finite` of each field of the dataclass value, in field
+    order; `__dataclass_fields__` lists them at half `fields`' cost."""
+    for name in value.__dataclass_fields__:
+        _require_finite(name, getattr(value, name))
+
+
 def _getstate(self) -> list:
     """`__getstate__` of the slotted value types: the field values in field
     order."""
@@ -44,11 +62,8 @@ def _getstate(self) -> list:
 
 
 def _setstate(self, state) -> None:
-    """`__setstate__` of the slotted value types: a `_getstate` list, or the
-    `__dict__` of one pickled before the types had slots. Checked as
-    `__init__` checks its arguments."""
-    if isinstance(state, dict):
-        state = [state[name] for name in self.__slots__]
+    """`__setstate__` of the slotted value types: a `_getstate` list, checked
+    as `__init__` checks its arguments."""
     self.__init__(*state)
 
 
@@ -87,13 +102,6 @@ def _value_type(cls):
     cls.__getstate__ = _getstate
     cls.__setstate__ = _setstate
     return cls
-
-
-def _require_finite_column(name: str, column) -> None:
-    """Whole-column finiteness check; names the first bad index."""
-    if not all(map(math.isfinite, column)):
-        index = next(i for i, v in enumerate(column) if not math.isfinite(v))
-        _require_finite(f"{name}[{index}]", column[index])
 
 
 @_value_type

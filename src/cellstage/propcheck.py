@@ -42,7 +42,7 @@ from typing import Callable
 from . import dynamics, frames
 from ._rng import SplitMix64, property_stream
 from .errors import DomainError, UnknownPropertyError
-from .linalg2 import Vec2, determinant, inverse2, mat_mul, mat_vec_mul
+from .linalg2 import IDENTITY, Vec2, determinant, inverse2, mat_mul, mat_vec_mul
 from .scenario import key_values
 
 DEFAULT_SAMPLES = 1000
@@ -167,6 +167,12 @@ def sample_wrench(rng: SplitMix64) -> dynamics.Wrench:
 # ---------------------------------------------------------------------------
 # property evaluators; each returns (violation, inputs)
 
+def _max_gap(a, b) -> float:
+    """Largest entrywise |a - b| of two equal-length sequences, such as two
+    matrices' entries in row-major order."""
+    return max(map(abs, map(operator.sub, a, b)))
+
+
 def _check_camera_stage(rng: SplitMix64):
     """Library stage_to_camera vs the raw componentwise relation.
 
@@ -280,11 +286,7 @@ def _check_inverse_identity(rng: SplitMix64):
     t_mat = frames.transformation_matrix(c)
     worst = 0.0
     for mat in (t_mat, mat_mul(dynamics.mass_matrix(m), t_mat)):
-        inv = inverse2(mat)
-        prod = mat_mul(mat, inv)
-        dev = max(
-            abs(prod.a11 - 1.0), abs(prod.a12), abs(prod.a21), abs(prod.a22 - 1.0)
-        )
+        dev = _max_gap(mat_mul(mat, inverse2(mat)), IDENTITY)
         denom = max(1.0, mat.inf_norm() ** 2 / abs(determinant(mat)))
         worst = max(worst, dev / denom)
     return worst, {**key_values("calibration", c), **key_values("masses", m)}
@@ -341,9 +343,7 @@ def _check_factorization(rng: SplitMix64):
         frames.display_resolution_matrix(c.fx, c.fy), frames.rotation_matrix(c.alpha)
     )
     denom = max(1.0, c.fx, c.fy)
-    violation = (
-        max(abs(x - y) for x, y in zip(direct, factored)) / denom
-    )
+    violation = _max_gap(direct, factored) / denom
     return violation, key_values("calibration", c)
 
 
@@ -359,10 +359,7 @@ def _check_rotation_inverse(rng: SplitMix64):
     """R(alpha) . R(-alpha) = I, absolute (rotation entries are order 1)."""
     alpha = rng.uniform(*_ALPHA)
     prod = mat_mul(frames.rotation_matrix(alpha), frames.rotation_matrix(-alpha))
-    violation = max(
-        abs(prod.a11 - 1.0), abs(prod.a12), abs(prod.a21), abs(prod.a22 - 1.0)
-    )
-    return violation, {"alpha": alpha}
+    return _max_gap(prod, IDENTITY), {"alpha": alpha}
 
 
 def _check_round_trip(rng: SplitMix64):
@@ -447,10 +444,7 @@ def _max_error_vs_analytic(
     rows = n_steps + 1
     got = dynamics._path(m, w, dt, (init.x, init.y, init.xdot, init.ydot), 0, rows)
     exact = dynamics.constant_input_columns(m, init, w, [i * dt for i in range(rows)])
-    return max(
-        max(map(abs, map(operator.sub, column, want)))
-        for column, want in zip(got, exact)
-    )
+    return max(map(_max_gap, got, exact))
 
 
 def _check_integrator_vs_analytic(rng: SplitMix64):

@@ -572,6 +572,21 @@ class TestOutLinksAndModes:
         assert {name: os.readlink(tmp_path / name) for name in loop} == loop
         assert listing(tmp_path) == sorted(loop)
 
+    def test_hard_link_becomes_a_new_file(self, tmp_path):
+        # The atomic rename wins over writing through: --out gets a new
+        # inode and its other hard links keep the old bytes.
+        real = tmp_path / "real.csv"
+        real.write_text("old\n")
+        hard = tmp_path / "hard.csv"
+        os.link(real, hard)
+        inode = real.stat().st_ino
+        assert self.simulate(hard) == 0
+        assert hard.read_bytes() == GOLDEN_CSV.read_bytes()
+        assert hard.stat().st_ino != inode
+        assert real.read_text() == "old\n"
+        assert (real.stat().st_ino, real.stat().st_nlink) == (inode, 1)
+        assert listing(tmp_path) == ["hard.csv", "real.csv"]
+
     @pytest.mark.parametrize("mode", [0o600, 0o640, 0o604])
     def test_existing_out_keeps_its_mode(self, mode, tmp_path):
         out = tmp_path / "out.csv"
@@ -631,7 +646,7 @@ class TestForkedWriter:
 
     @staticmethod
     def simulate(cfg, out, parts, monkeypatch):
-        monkeypatch.setattr(cli, "_csv_parts", lambda rows: parts)
+        monkeypatch.setattr(cli, "_processes", lambda units: parts)
         return cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
 
     @staticmethod
@@ -646,12 +661,16 @@ class TestForkedWriter:
         monkeypatch.setattr(sys, "platform", "linux")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         chunk = cli._CSV_CHUNK_ROWS
-        assert [cli._csv_parts(n) for n in (1, 201, 2 * chunk - 1)] == [1, 1, 1]
-        assert [cli._csv_parts(n) for n in (2 * chunk, 20_001, 10**6)] == [2, 4, 8]
+
+        def parts(rows):
+            return cli._processes(rows // chunk)
+
+        assert [parts(n) for n in (1, 201, 2 * chunk - 1)] == [1, 1, 1]
+        assert [parts(n) for n in (2 * chunk, 20_001, 10**6)] == [2, 4, 8]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert cli._csv_parts(10**6) == 1
+        assert parts(10**6) == 1
         monkeypatch.setattr(sys, "platform", "darwin")
-        assert cli._csv_parts(10**6) == 1
+        assert parts(10**6) == 1
 
     def test_bytes_do_not_depend_on_parts(
         self, fine_config, translation_config, monkeypatch, tmp_path
@@ -955,7 +974,7 @@ class TestWindows:
         config = self.config(text, t0)
         expected = self.one_process_error(config)
         assert str(expected) == error
-        monkeypatch.setattr(cli, "_csv_parts", lambda rows: windows)
+        monkeypatch.setattr(cli, "_processes", lambda units: windows)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         out = tmp_path / "out.csv"
         with pytest.raises(type(expected)) as raised:
@@ -970,7 +989,7 @@ class TestWindows:
     ):
         config = self.config(OVERFLOWING_TIME)
         assert str(self.one_process_error(config)) == "t[3] must be finite, got inf"
-        monkeypatch.setattr(cli, "_csv_parts", lambda rows: windows)
+        monkeypatch.setattr(cli, "_processes", lambda units: windows)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         with pytest.raises(DomainError, match=r"^t\[3\] must be finite, got inf$"):
             cli.cmd_simulate(config, str(tmp_path / "out.csv"))
@@ -1010,7 +1029,7 @@ class TestWindows:
         config = self.config(text)
         message = f"state left [-1e+100, 1e+100] at step {step}"
         assert str(self.one_process_error(config)) == message
-        monkeypatch.setattr(cli, "_csv_parts", lambda rows: windows)
+        monkeypatch.setattr(cli, "_processes", lambda units: windows)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         with pytest.raises(OverflowError) as raised:
             cli.cmd_simulate(config, str(tmp_path / "out.csv"))
@@ -1072,7 +1091,7 @@ class TestWindows:
             self.fail_in_workers(monkeypatch)
         elif failure == "fork":
             self.fail_to_fork(monkeypatch)
-        monkeypatch.setattr(cli, "_csv_parts", lambda rows: 4)
+        monkeypatch.setattr(cli, "_processes", lambda units: 4)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         fds = _open_fds()
         out = tmp_path / "fine.csv"
@@ -1099,7 +1118,7 @@ class TestWindows:
 
         monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(cli, "_append_part", interrupted)
-        monkeypatch.setattr(cli, "_csv_parts", lambda rows: 4)
+        monkeypatch.setattr(cli, "_processes", lambda units: 4)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         fds = _open_fds()
         out = tmp_path / "fine.csv"
@@ -1317,7 +1336,7 @@ class TestForkedVerify:
 
     @staticmethod
     def verify(samples, seed, workers, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_verify_workers", lambda n: min(workers, n))
+        monkeypatch.setattr(cli, "_processes", lambda n: min(workers, n))
         code = cli.main(["verify", "--samples", str(samples), "--seed", str(seed)])
         return code, capsys.readouterr().out
 
@@ -1429,7 +1448,7 @@ class TestForkedVerify:
             return pid
 
         monkeypatch.setattr(os, "fork", counting_fork)
-        monkeypatch.setattr(cli, "_verify_workers", lambda n: 3)
+        monkeypatch.setattr(cli, "_processes", lambda n: 3)
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         with pytest.raises(BrokenPipeError):
             cli.cmd_verify(40, 7)

@@ -673,6 +673,19 @@ class TestTrajectory:
         with pytest.raises(DomainError, match=rf"{column}\[2\] must be finite"):
             Trajectory(0.0, 0.1, **columns)
 
+    def test_window_names_a_bad_entry_by_its_path_row(self):
+        columns = {name: [0.0, 1.0, 2.0] for name in ("x", "y", "xdot", "ydot")}
+        columns["x"][2] = math.nan
+        with pytest.raises(DomainError, match=r"^x\[7\] must be finite, got nan$"):
+            Trajectory(0.0, 0.1, **columns, first=5)
+
+    def test_names_the_first_bad_row_before_the_first_bad_column(self):
+        columns = {name: [0.0, 1.0, 2.0] for name in ("x", "y", "xdot", "ydot")}
+        columns["y"][1] = math.inf
+        columns["x"][2] = math.nan
+        with pytest.raises(DomainError, match=r"^y\[1\] must be finite, got inf$"):
+            Trajectory(0.0, 0.1, **columns)
+
     def test_rejects_ragged_columns(self):
         with pytest.raises(DomainError):
             Trajectory(0.0, 0.1, [0.0, 1.0], [0.0], [0.0, 1.0], [0.0, 1.0])

@@ -4,7 +4,7 @@ import re
 
 from cellstage.scenario import parse_config
 
-from conftest import REFERENCE_CONFIG, REPO_ROOT
+from conftest import REFERENCE_CONFIG, REPO_ROOT, SRC_DIR
 
 
 def _blocks(language: str) -> list[str]:
@@ -22,3 +22,11 @@ def test_every_config_example_is_the_reference_config():
 def test_library_example_runs():
     (block,) = _blocks("python")
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_layout_names_every_module():
+    text = (REPO_ROOT / "README.md").read_text()
+    (block,) = re.findall(r"^```\n(src/cellstage/\n.*?)^```$", text, re.DOTALL | re.MULTILINE)
+    listed = set(re.findall(r"^  (\S+\.py) ", block, re.MULTILINE))
+    modules = {path.name for path in (SRC_DIR / "cellstage").glob("*.py")}
+    assert listed == modules
