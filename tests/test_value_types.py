@@ -8,9 +8,10 @@ order only when that test fails, then stores each field through its slot's
 setter. These tests pin that every slotted frozen dataclass of those modules
 is declared that way, that they behave like plain frozen dataclasses with
 checked fields, that they hold their fields and nothing else (no
-`__dict__`, no weak references), that they pickle at every protocol, that
-a finite value is built without any named check, and that the point maps
-give the bits of their formulas, written out in the tests.
+`__dict__`, no weak references), that they pickle at every protocol and
+refuse the pickles of the `__dict__` layout they had before, that a finite
+value is built without any named check, and that the point maps give the
+bits of their formulas, written out in the tests.
 """
 
 import copy
@@ -54,6 +55,16 @@ def hexes(value) -> list[str]:
 
 
 PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+
+def dict_layout_pickle(cls, values, protocol, monkeypatch) -> bytes:
+    """The pickle of cls(*values) as the type pickled with a `__dict__`: a
+    plain frozen dataclass twin under the same module and name."""
+    twin = plain(cls)
+    twin.__module__, twin.__qualname__ = cls.__module__, cls.__qualname__
+    with monkeypatch.context() as patch:
+        patch.setattr(inspect.getmodule(cls), cls.__name__, twin)
+        return pickle.dumps(twin(*values), protocol)
 
 
 def slotted_frozen_dataclasses(module) -> set[type]:
@@ -174,6 +185,16 @@ class TestContract:
         with pytest.raises(AttributeError):
             object.__setattr__(value, "extra", 1.0)
         assert hexes(value) == [float.hex(v) for v in sample(cls)]
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_refuses_a_pickle_of_the_dict_layout(self, cls, protocol, monkeypatch):
+        # `_setstate` reads only the list layout. A `__dict__` state unpacks
+        # to the field names, which the generated `__init__` refuses, so an
+        # old pickle fails to load rather than holding strings as fields.
+        for values in (sample(cls), (math.nan, *sample(cls)[1:])):
+            data = dict_layout_pickle(cls, values, protocol, monkeypatch)
+            with pytest.raises(TypeError, match="must be real number, not str"):
+                pickle.loads(data)
 
     def test_negative_zero_keeps_its_sign(self, cls):
         value = cls(*[-0.0] * len(names(cls)))
