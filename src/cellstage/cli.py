@@ -400,9 +400,9 @@ def _fork_scanner(workers: _Workers, seed: int, start: int, stop: int):
 def _scanned_share(worker, property_id: str, seed: int):
     """The worker's record for property_id, or its range scanned here.
 
-    A worker that was not forked, died or sent a truncated record has its
-    range scanned here, for this and every later property, so the record
-    is the one a single process makes.
+    A range with no live worker is scanned here, so the record is the one a
+    single process makes: this process's own (pipe None), and from then on
+    one whose worker was not forked, died or sent a truncated record.
     """
     pipe, start, stop = worker
     if pipe is not None:
@@ -427,15 +427,14 @@ def cmd_verify(samples: int, seed: int) -> int:
     propcheck._check_run_args(samples, seed)
     parts = _processes(samples)
     bounds = [samples * i // parts for i in range(parts + 1)]
-    shares = []
+    shares = [[None, 0, bounds[1]]]
     all_passed = True
     with _Workers() as workers:
         try:
             for start, stop in zip(bounds[1:-1], bounds[2:]):
                 shares.append(_fork_scanner(workers, seed, start, stop))
             for property_id in propcheck.PROPERTIES:
-                records = [propcheck._scan(property_id, seed, 0, bounds[1])]
-                records += [_scanned_share(s, property_id, seed) for s in shares]
+                records = [_scanned_share(s, property_id, seed) for s in shares]
                 report = propcheck._report(property_id, samples, seed, records)
                 print(propcheck.format_report(report))
                 all_passed = all_passed and report.passed

@@ -126,7 +126,10 @@ class Trajectory:
     is a window of a longer path. The columns are kept as given; a
     StageState is built only when a sample is indexed or iterated. Every
     column value must be finite and the time column must be finite and
-    strictly increasing; an error names the first bad row of the path.
+    strictly increasing; an error names the first bad row of the path, the
+    states before the times, and a pair that does not increase only once
+    every time is finite. So with dt <= 0, or dt below half an ulp of the
+    times, an infinite time is named before an earlier such pair.
     """
 
     __slots__ = ("t0", "dt", "x", "y", "xdot", "ydot", "first")
@@ -156,15 +159,9 @@ class Trajectory:
             and math.isfinite(t[-1])
             and all(map(operator.lt, t, islice(t, 1, None)))
         ):
-            # Row by row, so a window of a path names the row the whole path
-            # would.
-            for i in range(n):
-                _require_finite(f"t[{first + i}]", t[i])
-                if i + 1 < n and not t[i] < t[i + 1]:
-                    raise DomainError(
-                        "timestamps must be strictly increasing: "
-                        f"{t[i]!r} -> {t[i + 1]!r}"
-                    )
+            _require_finite_rows(("t",), (t,), first)
+            a, b = next((a, b) for a, b in zip(t, islice(t, 1, None)) if not a < b)
+            raise DomainError(f"timestamps must be strictly increasing: {a!r} -> {b!r}")
 
     def times(self, start: int = 0, stop: int | None = None) -> list[float]:
         """The time column, for samples start..stop-1 (default: all)."""
@@ -210,19 +207,14 @@ def dynamics_residual(m: MassParams, accel: Vec2, vel: Vec2, w: Wrench) -> Vec2:
 
 
 def _require_solution_times(init: StageState, times) -> None:
-    """The closed forms start at t = 0 and take finite times t >= 0."""
+    """The closed forms start at t = 0 and take finite times t >= 0; a bad
+    time is named by its row, the first non-finite one before any negative."""
     if init.t != 0.0:
         raise DomainError(f"initial state must be at t=0, got t={init.t!r}")
-    _require_finite_outputs(("t",), (times,))
+    _require_finite_rows(("t",), (times,))
     if min(times, default=0.0) < 0.0:
-        t = next(t for t in times if t < 0.0)
-        raise DomainError(f"t must be >= 0, got {t!r}")
-
-
-def _require_finite_outputs(names, columns) -> None:
-    for name, column in zip(names, columns):
-        if not all(map(math.isfinite, column)):
-            _require_finite(name, next(v for v in column if not math.isfinite(v)))
+        row, t = next((row, t) for row, t in enumerate(times) if t < 0.0)
+        raise DomainError(f"t[{row}] must be >= 0, got {t!r}")
 
 
 # The closed forms are built one axis per call, so each axis' exp column is
@@ -251,13 +243,14 @@ def homogeneous_columns(m: MassParams, init: StageState, times):
     Velocities and accelerations are the exact derivatives of the position
     formulas. Evaluated over the time column `times`; returns the lists
     (x, y, xdot, ydot, xddot, yddot). Raises DomainError unless init.t is 0,
-    every t is finite and >= 0, and every value returned is finite.
+    every t is finite and >= 0, and every value returned is finite, naming
+    the first bad row, columns in order within it (`xddot[0] must be ...`).
     """
     _require_solution_times(init, times)
     x, xdot, xddot = _homogeneous_axis(m.x_effective, init.x, init.xdot, times)
     y, ydot, yddot = _homogeneous_axis(m.y_effective, init.y, init.ydot, times)
     columns = (x, y, xdot, ydot, xddot, yddot)
-    _require_finite_outputs(("x", "y", "xdot", "ydot", "xddot", "yddot"), columns)
+    _require_finite_rows(("x", "y", "xdot", "ydot", "xddot", "yddot"), columns)
     return columns
 
 
@@ -291,7 +284,7 @@ def constant_input_columns(m: MassParams, init: StageState, w: Wrench, times):
     x, xdot = _constant_input_axis(m.x_effective, init.x, init.xdot, net.e1, times)
     y, ydot = _constant_input_axis(m.y_effective, init.y, init.ydot, net.e2, times)
     columns = (x, y, xdot, ydot)
-    _require_finite_outputs(("x", "y", "xdot", "ydot"), columns)
+    _require_finite_rows(("x", "y", "xdot", "ydot"), columns)
     return columns
 
 
@@ -310,7 +303,7 @@ def analytic_homogeneous_acceleration(m: MassParams, init: StageState, t: float)
     _require_solution_times(init, [t])
     _, _, xddot = _homogeneous_axis(m.x_effective, init.x, init.xdot, [t])
     _, _, yddot = _homogeneous_axis(m.y_effective, init.y, init.ydot, [t])
-    _require_finite_outputs(("xddot", "yddot"), (xddot, yddot))
+    _require_finite_rows(("xddot", "yddot"), (xddot, yddot))
     return Vec2(xddot[0], yddot[0])
 
 

@@ -125,8 +125,7 @@ class Vec2:
         return max(abs(self.e1), abs(self.e2))
 
     def __iter__(self):
-        yield self.e1
-        yield self.e2
+        return iter((self.e1, self.e2))
 
 
 @_value_type
@@ -144,10 +143,7 @@ class Mat2:
         return max(abs(self.a11) + abs(self.a12), abs(self.a21) + abs(self.a22))
 
     def __iter__(self):
-        yield self.a11
-        yield self.a12
-        yield self.a21
-        yield self.a22
+        return iter((self.a11, self.a12, self.a21, self.a22))
 
 
 IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)

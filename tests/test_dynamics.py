@@ -277,13 +277,25 @@ class TestClosedFormColumns:
     )
     @pytest.mark.parametrize(
         "bad, message",
-        [(-0.5, r"t must be >= 0, got -0\.5"), (math.nan, r"t must be finite, got nan")],
+        [
+            (-0.5, r"^t\[2\] must be >= 0, got -0\.5$"),
+            (math.nan, r"^t\[2\] must be finite, got nan$"),
+        ],
     )
     def test_rejects_bad_time_anywhere_in_column(self, core, bad, message):
         init = StageState(0.0, 0.0, 0.0, 1.0, 1.0)
         args = (ZERO_WRENCH,) if core is constant_input_columns else ()
         with pytest.raises(DomainError, match=message):
             core(CANONICAL_MASSES, init, *args, [0.0, 1.0, bad, 2.0])
+
+    @pytest.mark.parametrize(
+        "core", [homogeneous_columns, constant_input_columns], ids=["homog", "const"]
+    )
+    def test_names_a_non_finite_time_before_an_earlier_negative_one(self, core):
+        init = StageState(0.0, 0.0, 0.0, 1.0, 1.0)
+        args = (ZERO_WRENCH,) if core is constant_input_columns else ()
+        with pytest.raises(DomainError, match=r"^t\[2\] must be finite, got inf$"):
+            core(CANONICAL_MASSES, init, *args, [0.0, -0.5, math.inf])
 
     @pytest.mark.parametrize(
         "core", [homogeneous_columns, constant_input_columns], ids=["homog", "const"]
@@ -298,9 +310,9 @@ class TestClosedFormColumns:
         # c*t overflows to inf at t = 1e308 with c = 10.
         init = StageState(0.0, 0.0, 0.0, 0.0, 0.0)
         w = Wrench(taux=10.0)
-        with pytest.raises(DomainError, match=r"x must be finite, got inf"):
+        with pytest.raises(DomainError, match=r"^x\[1\] must be finite, got inf$"):
             constant_input_columns(CANONICAL_MASSES, init, w, [0.0, 1e308])
-        with pytest.raises(DomainError, match=r"x must be finite, got inf"):
+        with pytest.raises(DomainError, match=r"^x\[0\] must be finite, got inf$"):
             analytic_constant_input_solution(CANONICAL_MASSES, init, w, 1e308)
 
     def test_acceleration_ignores_the_positions_it_does_not_return(self):
@@ -320,9 +332,9 @@ class TestClosedFormColumns:
         # vel0 / M overflows to inf on 1e-12 kg masses.
         m = MassParams(1e-12, 1e-12, 1e-12)
         init = StageState(0.0, 0.0, 0.0, 1e300, 0.0)
-        with pytest.raises(DomainError, match=r"^xddot must be finite, got -inf$"):
+        with pytest.raises(DomainError, match=r"^xddot\[0\] must be finite, got -inf$"):
             analytic_homogeneous_acceleration(m, init, 0.0)
-        with pytest.raises(DomainError, match=r"^xddot must be finite, got -inf$"):
+        with pytest.raises(DomainError, match=r"^xddot\[0\] must be finite, got -inf$"):
             analytic_constant_input_acceleration(m, init, ZERO_WRENCH, 0.0)
 
     def test_empty_column_gives_empty_columns(self):
@@ -658,6 +670,29 @@ class TestTrajectory:
         zeros = [0.0] * 2
         with pytest.raises(DomainError, match=r"^t\[3\] must be finite, got inf$"):
             Trajectory(0.0, self.OVERFLOWING_DT, zeros, zeros, zeros, zeros, first=2)
+
+    @pytest.mark.parametrize(
+        "t0, dt, message",
+        [
+            (0.0, -1e308, r"^t\[2\] must be finite, got -inf$"),
+            # dt > 0 below half an ulp of the times: t0 + dt rounds back to
+            # t0, and t0 + 2*dt rounds up to inf.
+            (
+                sys.float_info.max,
+                0.4 * math.ulp(sys.float_info.max),
+                r"^t\[2\] must be finite, got inf$",
+            ),
+            (0.0, -1.0, r"^timestamps must be strictly increasing: 0\.0 -> -1\.0$"),
+            (1.0, 0.0, r"^timestamps must be strictly increasing: 1\.0 -> 1\.0$"),
+        ],
+        ids=["falling", "stalled", "finite-falling", "finite-stalled"],
+    )
+    def test_names_an_infinite_time_before_an_earlier_pair_that_does_not_increase(
+        self, t0, dt, message
+    ):
+        zeros = [0.0] * 3
+        with pytest.raises(DomainError, match=message):
+            Trajectory(t0, dt, zeros, zeros, zeros, zeros)
 
     def test_simulate_rejects_a_horizon_whose_last_time_overflows(self):
         init = StageState(0.0, 0.0, 0.0, 0.0, 0.0)

@@ -48,6 +48,17 @@ class TestVec2Mat2:
         assert Vec2(1.0, -2.0).scaled(-2.0) == Vec2(-2.0, 4.0)
         assert Vec2(3.0, -4.0).inf_norm() == 4.0
 
+    def test_iteration_order(self):
+        # Vec2 gives (e1, e2); Mat2 gives its entries row-major, the order
+        # propcheck._max_gap pairs them in. Each pass is a fresh iterator.
+        v = Vec2(1.0, -2.0)
+        assert list(v) == list(v) == [1.0, -2.0]
+        m = Mat2(1.0, 2.0, 3.0, 4.0)
+        assert list(m) == list(m) == [1.0, 2.0, 3.0, 4.0]
+        assert tuple(zip(m, Mat2(5.0, 6.0, 7.0, 8.0))) == (
+            (1.0, 5.0), (2.0, 6.0), (3.0, 7.0), (4.0, 8.0)
+        )
+
 
 class TestMatVecMul:
     def test_identity(self):

@@ -255,6 +255,32 @@ class TestDrawsPerSample:
         assert per_sample == [declared] * 30
 
 
+class TestIntegratorOrderFloor:
+    def test_a_draw_from_rest_counts_as_zero(self):
+        # Every draw at the midpoint of its range: positions and velocities
+        # 0.0, so RK4 and the closed form both stay at rest and the coarse
+        # error is 0, below the round-off floor: no ratio can be resolved.
+        class Midpoint(SplitMix64):
+            def next_float(self):
+                return 0.5
+
+        violation, inputs = propcheck._check_integrator_order(Midpoint(0))
+        mass = Midpoint(0).log_uniform(*propcheck._MASS)
+        m = dynamics.MassParams(mass, mass, mass)
+        init = dynamics.StageState(0.0, 0.0, 0.0, 0.0, 0.0)
+        dt = m.y_effective / 8.0
+        error = propcheck._max_error_vs_analytic(m, init, dynamics.ZERO_WRENCH, dt, 64)
+        assert error == 0.0
+        assert violation == 0.0
+        # Inputs in draw order: masses, initial, then dt.
+        want = {
+            **propcheck.key_values("masses", m),
+            **propcheck.key_values("initial", init),
+            "dt": dt,
+        }
+        assert list(inputs.items()) == list(want.items())
+
+
 class TestSeedRange:
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
     def test_rejects_seed_outside_64_bits(self, seed):

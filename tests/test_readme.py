@@ -1,4 +1,4 @@
-"""The README's examples run as written."""
+"""The README's examples run as written, and the docs name the tree as it is."""
 
 import re
 
@@ -30,3 +30,14 @@ def test_layout_names_every_module():
     listed = set(re.findall(r"^  (\S+\.py) ", block, re.MULTILINE))
     modules = {path.name for path in (SRC_DIR / "cellstage").glob("*.py")}
     assert listed == modules
+
+
+def test_ci_runs_the_tier1_line_on_the_python_floor():
+    workflow = (REPO_ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    roadmap = (REPO_ROOT / "ROADMAP.md").read_text()
+    (line,) = re.findall(r"^\*\*Tier-1 verify:\*\* `(.*)`$", roadmap, re.MULTILINE)
+    assert f"run: {line}\n" in workflow
+    pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+    (floor,) = re.findall(r'^requires-python = ">=(\S+)"$', pyproject, re.MULTILINE)
+    (versions,) = re.findall(r"^ +python-version: \[(.*)\]$", workflow, re.MULTILINE)
+    assert f'"{floor}"' in versions.split(", ")
