@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from cellstage.frames import Calibration
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_ROOT / "src"
 REFERENCE_CONFIG = REPO_ROOT / "configs" / "reference.cfg"
@@ -44,6 +46,15 @@ def start_cli(*args: str) -> subprocess.Popen:
         cwd=REPO_ROOT,
         env=_cli_env(),
     )
+
+
+def degenerate_calibration() -> Calibration:
+    """The Calibration alpha = 0, dx = dy = 1, fx = 0, fy = 1, built around
+    the check that rejects fx = 0, for the singular guards' tests."""
+    c = object.__new__(Calibration)
+    for name, value in dict(alpha=0.0, dx=1.0, dy=1.0, fx=0.0, fy=1.0).items():
+        object.__setattr__(c, name, value)
+    return c
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from cellstage.frames import StagePoint, stage_to_image
 from cellstage.linalg2 import Mat2
 from cellstage.scenario import parse_config
 
-from conftest import DATA_DIR, REFERENCE_CONFIG, SRC_DIR, run_cli
+from conftest import DATA_DIR, REFERENCE_CONFIG, _cli_env, run_cli
 
 #: Address-space cap for a CLI child that must not allocate at scale.
 _CHILD_ADDRESS_SPACE = 256 * 2**20
@@ -87,12 +87,93 @@ def long_name(length: int) -> str:
     return "a" * (length - 4) + ".csv"
 
 
-#: Base names of --out up to 255 bytes, the NAME_MAX of Linux file systems:
-#: from the shortest a forked run's part file made too long to the longest
-#: open(out, "w") accepts.
+#: Base names of --out from 227 bytes up to 255, the NAME_MAX of Linux file
+#: systems and the longest open(out, "w") accepts. No scratch file takes a
+#: part of --out's name, so each gives the bytes a short name gives.
 LONG_OUT_NAMES = pytest.mark.parametrize("length", range(227, 256))
 
 GOLDEN_CSV = DATA_DIR / "reference_trajectory.csv"
+
+
+def listing(directory) -> list[str]:
+    return sorted(os.listdir(directory))
+
+
+def trajectory(config):
+    """The path of a parsed config, simulated in this process in one piece."""
+    return simulate(config.masses, config.initial, config.wrench, config.dt, config.t_end)
+
+
+def main_simulate(out, cfg=REFERENCE_CONFIG) -> int:
+    """The exit code of `cellstage simulate`, run in this process."""
+    return cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
+
+
+def single_render(cfg) -> bytes:
+    """The CSV of a config file, simulated and rendered in one piece."""
+    config = parse_config(cfg.read_bytes())
+    return cli.render_trajectory_csv(trajectory(config), config).encode()
+
+
+@pytest.fixture
+def every_worker_reaped():
+    """Fail a test that leaves a forked worker behind."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def no_path(monkeypatch):
+    """Fail a test whose --out is not checked before a path is integrated."""
+
+    def integrated(*args):
+        raise AssertionError("integrated a path before refusing --out")
+
+    monkeypatch.setattr(cli, "_path", integrated)
+
+
+@pytest.fixture
+def failed_forks(monkeypatch):
+    """Make os.fork fail as at a process limit; one entry per attempt."""
+    attempts = []
+
+    def no_fork():
+        attempts.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    return attempts
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pid of every worker os.fork starts, as this process sees it."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def fail_in_workers(monkeypatch, starts=None):
+    """Make a forked worker's _render_window fail on a full disk: every
+    worker's, or only those of the windows that start at a row in starts."""
+    parent = os.getpid()
+    render_window = cli._render_window
+
+    def full_disk_in_workers(handle, window, config, start):
+        if os.getpid() != parent and (starts is None or start in starts):
+            raise OSError(28, "No space left on device")
+        render_window(handle, window, config, start)
+
+    monkeypatch.setattr(cli, "_render_window", full_disk_in_workers)
 
 
 @pytest.fixture
@@ -132,8 +213,6 @@ class TestTransform:
 
     def test_matches_library_for_random_points(self, tmp_path):
         config_path = REFERENCE_CONFIG
-        from cellstage.scenario import parse_config
-
         config = parse_config(config_path.read_bytes())
         for x, y in [(0.3, -0.7), (12.5, 99.0), (-3.25, 0.125)]:
             result = run_cli(
@@ -191,11 +270,11 @@ class TestSimulate:
 
     @LONG_OUT_NAMES
     def test_long_out_name_gives_the_golden_bytes(self, length, tmp_path):
-        # The temporary file's name adds to --out's and must still fit.
+        # The temporary file beside --out has a fixed-length name of its own.
         out = tmp_path / long_name(length)
-        assert cli.main(["simulate", "--config", str(REFERENCE_CONFIG), "--out", str(out)]) == 0
+        assert main_simulate(out) == 0
         assert out.read_bytes() == GOLDEN_CSV.read_bytes()
-        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+        assert listing(tmp_path) == [out.name]
 
     @pytest.mark.parametrize("length", [244, 255])
     def test_long_out_name_exits_0_from_the_cli(self, length, tmp_path):
@@ -203,7 +282,7 @@ class TestSimulate:
         result = run_cli("simulate", "--config", str(REFERENCE_CONFIG), "--out", str(out))
         assert (result.returncode, result.stderr) == (0, "")
         assert out.read_bytes() == GOLDEN_CSV.read_bytes()
-        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+        assert listing(tmp_path) == [out.name]
 
     def test_out_name_over_name_max_exits_2(self, translation_config, tmp_path):
         out = tmp_path / long_name(os.pathconf(tmp_path, "PC_NAME_MAX") + 1)
@@ -213,7 +292,7 @@ class TestSimulate:
         assert result.returncode == 2
         assert result.stderr == f"error: {expected.value}\n"
         assert f"{str(out)!r}" in result.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["translation.cfg"]
+        assert listing(tmp_path) == ["translation.cfg"]
 
     def test_deterministic_across_runs(self, tmp_path):
         outs = []
@@ -231,8 +310,6 @@ class TestSimulate:
     def test_image_columns_are_rowwise_transforms(self, tmp_path):
         out = tmp_path / "reference.csv"
         run_cli("simulate", "--config", str(REFERENCE_CONFIG), "--out", str(out))
-        from cellstage.scenario import parse_config
-
         config = parse_config(REFERENCE_CONFIG.read_bytes())
         for line in out.read_text().splitlines()[1:]:
             t, x, y, xdot, ydot, xc, yc, u, v = (float(s) for s in line.split(","))
@@ -286,7 +363,7 @@ class TestSimulate:
         assert result.stderr == (
             "error: simulation diverged: state left [-1e+100, 1e+100] at step 1\n"
         )
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["nan.cfg"]
+        assert listing(tmp_path) == ["nan.cfg"]
 
     def test_config_error_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -314,17 +391,16 @@ class TestSimulate:
         cfg.write_text(WIDE_IMAGE)
         out = tmp_path / "wide.csv"
         out.write_text("previous contents\n")
-        code = cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
-        assert code == 2
+        assert main_simulate(out, cfg) == 2
         assert out.read_text() == "previous contents\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cfg", "wide.csv"]
+        assert listing(tmp_path) == ["wide.cfg", "wide.csv"]
         out.unlink()
         result = run_cli("simulate", "--config", str(cfg), "--out", str(out))
         assert result.returncode == 2
         # The bad row is named by its trajectory row, not its row in a chunk.
         assert result.stderr.startswith("error: u[27327] must be finite, got inf")
         assert "Traceback" not in result.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cfg"]
+        assert listing(tmp_path) == ["wide.cfg"]
 
     def test_infinite_time_exits_2_and_leaves_out_untouched(self, tmp_path):
         # 3 * dt rounds to inf, so the last of the 4 rows would be at t = inf.
@@ -336,7 +412,7 @@ class TestSimulate:
         assert result.returncode == 2
         assert result.stderr == "error: t[3] must be finite, got inf\n"
         assert out.read_text() == "previous contents\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["inf.cfg", "inf.csv"]
+        assert listing(tmp_path) == ["inf.cfg", "inf.csv"]
 
     def test_horizon_above_step_cap_exits_2_and_leaves_no_file(self, tmp_path):
         # dt = 0.5 and t_end = 0.5 * (MAX_STEPS + 1) are exact, so the
@@ -359,7 +435,7 @@ class TestSimulate:
         assert result.stderr.startswith("error: ")
         assert f"{MAX_STEPS} step cap" in result.stderr
         assert "Traceback" not in result.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["capped.cfg"]
+        assert listing(tmp_path) == ["capped.cfg"]
 
     @OUT_NAMES_A_DIRECTORY
     def test_out_is_directory_exits_2(self, name, translation_config, tmp_path):
@@ -369,23 +445,19 @@ class TestSimulate:
         result = run_cli("simulate", "--config", str(translation_config), "--out", out)
         assert result.returncode == 2
         assert result.stderr == f"error: [Errno 21] Is a directory: {out!r}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "translation.cfg"]
+        assert listing(tmp_path) == ["outdir", "translation.cfg"]
         assert list(target.iterdir()) == []
 
     @OUT_NAMES_A_DIRECTORY
     def test_out_is_directory_fails_before_integrating(
-        self, name, fine_config, monkeypatch, tmp_path
+        self, name, fine_config, no_path, tmp_path
     ):
-        def no_path(*args):
-            raise AssertionError("integrated a path whose --out is a directory")
-
-        monkeypatch.setattr(cli, "_path", no_path)
         (tmp_path / "outdir").mkdir()
         out = os.path.join(tmp_path, name)
         with pytest.raises(IsADirectoryError) as excinfo:
             cli.cmd_simulate(parse_config(fine_config.read_bytes()), out)
         assert str(excinfo.value) == f"[Errno 21] Is a directory: {out!r}"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "outdir"]
+        assert listing(tmp_path) == ["fine.cfg", "outdir"]
 
     def test_out_is_fifo_exits_2(self, translation_config, tmp_path):
         # Replaced by the CSV, the FIFO would give its readers nothing.
@@ -395,20 +467,16 @@ class TestSimulate:
         assert result.returncode == 2
         assert result.stderr == f"error: [Errno 22] not a regular file: {str(out)!r}\n"
         assert stat.S_ISFIFO(os.lstat(out).st_mode)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "translation.cfg"]
+        assert listing(tmp_path) == ["out.csv", "translation.cfg"]
 
-    def test_out_is_fifo_fails_before_integrating(self, fine_config, monkeypatch, tmp_path):
-        def no_path(*args):
-            raise AssertionError("integrated a path whose --out is a FIFO")
-
-        monkeypatch.setattr(cli, "_path", no_path)
+    def test_out_is_fifo_fails_before_integrating(self, fine_config, no_path, tmp_path):
         out = os.path.join(tmp_path, "out.csv")
         os.mkfifo(out)
         with pytest.raises(OSError) as excinfo:
             cli.cmd_simulate(parse_config(fine_config.read_bytes()), out)
         assert str(excinfo.value) == f"[Errno 22] not a regular file: {out!r}"
         assert stat.S_ISFIFO(os.lstat(out).st_mode)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "out.csv"]
+        assert listing(tmp_path) == ["fine.cfg", "out.csv"]
 
     def test_config_is_directory_exits_2(self, tmp_path):
         result = run_cli(
@@ -424,7 +492,7 @@ class TestSimulate:
         result = run_cli("simulate", "--config", str(translation_config), "--out", str(out))
         assert result.returncode == 2
         assert result.stderr == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["translation.cfg"]
+        assert listing(tmp_path) == ["translation.cfg"]
 
     def test_empty_out_exits_2_and_leaves_no_file(self, translation_config, tmp_path):
         # The temporary file of an empty --out must not go beside the
@@ -436,7 +504,7 @@ class TestSimulate:
         )
         assert result.returncode == 2
         assert result.stderr == "error: [Errno 2] No such file or directory: ''\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["translation.cfg", "work"]
+        assert listing(tmp_path) == ["translation.cfg", "work"]
         assert list(work.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -450,12 +518,8 @@ class TestSimulate:
         ids=["empty", "missing_directory", "file_as_directory", "name_too_long"],
     )
     def test_unopenable_out_fails_before_integrating(
-        self, out, fine_config, monkeypatch, tmp_path
+        self, out, fine_config, no_path, monkeypatch, tmp_path
     ):
-        def no_path(*args):
-            raise AssertionError(f"integrated a path whose --out is {out!r}")
-
-        monkeypatch.setattr(cli, "_path", no_path)
         work = tmp_path / "work"
         work.mkdir()
         monkeypatch.chdir(work)
@@ -466,12 +530,8 @@ class TestSimulate:
         assert type(excinfo.value) is type(expected.value)
         assert str(excinfo.value) == str(expected.value)
         assert excinfo.value.filename == out
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "work"]
+        assert listing(tmp_path) == ["fine.cfg", "work"]
         assert list(work.iterdir()) == []
-
-
-def listing(directory) -> list[str]:
-    return sorted(os.listdir(directory))
 
 
 def entry(path) -> tuple:
@@ -486,16 +546,12 @@ class TestOutLinksAndModes:
     """`simulate` writes through a symbolic --out as open(out, "w") would,
     and an existing --out keeps its permission bits."""
 
-    @staticmethod
-    def simulate(out, cfg=REFERENCE_CONFIG) -> int:
-        return cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
-
     def test_link_is_written_through(self, tmp_path):
         real = tmp_path / "real.csv"
         real.write_text("previous contents\n")
         link = tmp_path / "link.csv"
         link.symlink_to("real.csv")
-        assert self.simulate(link) == 0
+        assert main_simulate(link) == 0
         assert os.readlink(link) == "real.csv"
         assert real.read_bytes() == GOLDEN_CSV.read_bytes()
         assert listing(tmp_path) == ["link.csv", "real.csv"]
@@ -518,7 +574,7 @@ class TestOutLinksAndModes:
             render_window(handle, window, config, start)
 
         monkeypatch.setattr(cli, "_render_window", listing_render)
-        assert self.simulate(links / "link.csv") == 0
+        assert main_simulate(links / "link.csv") == 0
         [(during_links, during_data)] = seen
         assert during_links == ["hop.csv", "link.csv"]
         assert len(during_data) == 2 and "real.csv" in during_data
@@ -531,7 +587,7 @@ class TestOutLinksAndModes:
         (tmp_path / "data").mkdir()
         link = tmp_path / "link.csv"
         link.symlink_to(os.path.join("data", "new.csv"))
-        assert self.simulate(link) == 0
+        assert main_simulate(link) == 0
         assert os.readlink(link) == os.path.join("data", "new.csv")
         assert (tmp_path / "data" / "new.csv").read_bytes() == GOLDEN_CSV.read_bytes()
         assert listing(tmp_path) == ["data", "link.csv"]
@@ -550,22 +606,17 @@ class TestOutLinksAndModes:
     @pytest.mark.parametrize(
         "loop", [{"loop1": "loop2", "loop2": "loop1"}, {"loop1": "loop1"}], ids=["two", "self"]
     )
-    def test_link_loop_exits_2_before_integrating(self, loop, monkeypatch, tmp_path):
-        def no_path(*args):
-            raise AssertionError("integrated a path whose --out is a link loop")
-
+    def test_link_loop_exits_2_before_integrating(self, loop, no_path, tmp_path):
         for name, target in loop.items():
             (tmp_path / name).symlink_to(target)
         out = str(tmp_path / "loop1")
         with pytest.raises(OSError) as expected:
             open(out, "w")
         assert expected.value.errno == errno.ELOOP
-        monkeypatch.setattr(cli, "_path", no_path)
         with pytest.raises(OSError) as excinfo:
             cli.cmd_simulate(parse_config(REFERENCE_CONFIG.read_bytes()), out)
         assert str(excinfo.value) == str(expected.value)
         assert excinfo.value.filename == out
-        monkeypatch.undo()
         result = run_cli("simulate", "--config", str(REFERENCE_CONFIG), "--out", out)
         assert result.returncode == 2
         assert result.stderr == f"error: [Errno 40] Too many levels of symbolic links: {out!r}\n"
@@ -580,7 +631,7 @@ class TestOutLinksAndModes:
         hard = tmp_path / "hard.csv"
         os.link(real, hard)
         inode = real.stat().st_ino
-        assert self.simulate(hard) == 0
+        assert main_simulate(hard) == 0
         assert hard.read_bytes() == GOLDEN_CSV.read_bytes()
         assert hard.stat().st_ino != inode
         assert real.read_text() == "old\n"
@@ -592,7 +643,7 @@ class TestOutLinksAndModes:
         out = tmp_path / "out.csv"
         out.write_text("previous contents\n")
         out.chmod(mode)
-        assert self.simulate(out) == 0
+        assert main_simulate(out) == 0
         assert out.read_bytes() == GOLDEN_CSV.read_bytes()
         assert stat.S_IMODE(out.stat().st_mode) == mode
 
@@ -602,7 +653,7 @@ class TestOutLinksAndModes:
         real.chmod(0o600)
         link = tmp_path / "link.csv"
         link.symlink_to("real.csv")
-        assert self.simulate(link) == 0
+        assert main_simulate(link) == 0
         assert stat.S_IMODE(real.stat().st_mode) == 0o600
         assert os.readlink(link) == "real.csv"
 
@@ -635,27 +686,14 @@ class TestOutLinksAndModes:
         assert listing(data) == ["real.csv"]
 
 
+@pytest.mark.usefixtures("every_worker_reaped")
 class TestForkedWriter:
     """`simulate` splits the rows among forked workers; nothing may show it."""
-
-    @pytest.fixture(autouse=True)
-    def every_worker_reaped(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
     def simulate(cfg, out, parts, monkeypatch):
         monkeypatch.setattr(cli, "_processes", lambda units: parts)
-        return cli.main(["simulate", "--config", str(cfg), "--out", str(out)])
-
-    @staticmethod
-    def single_render(cfg):
-        config = parse_config(cfg.read_bytes())
-        traj = simulate(
-            config.masses, config.initial, config.wrench, config.dt, config.t_end
-        )
-        return cli.render_trajectory_csv(traj, config).encode()
+        return main_simulate(out, cfg)
 
     def test_parts_follow_cpus_and_whole_chunks(self, monkeypatch):
         monkeypatch.setattr(sys, "platform", "linux")
@@ -679,8 +717,8 @@ class TestForkedWriter:
         # so they are still buffered when a part is appended.
         expected = {
             "reference": (DATA_DIR / "reference_trajectory.csv").read_bytes(),
-            "fine": self.single_render(fine_config),
-            "translation": self.single_render(translation_config),
+            "fine": single_render(fine_config),
+            "translation": single_render(translation_config),
         }
         for parts in (1, 2, 3):
             for cfg in (REFERENCE_CONFIG, fine_config, translation_config):
@@ -707,7 +745,7 @@ class TestForkedWriter:
         assert self.simulate(cfg, out, parts, monkeypatch) == 2
         assert capsys.readouterr().err == "error: u[27327] must be finite, got inf\n"
         assert out.read_text() == "previous contents\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.cfg", "wide.csv"]
+        assert listing(tmp_path) == ["wide.cfg", "wide.csv"]
 
     def test_error_names_the_first_bad_row_of_any_column(self):
         # v overflows at row 5 and u at row 9 (fx = fy = 1e300): the error
@@ -742,32 +780,20 @@ class TestForkedWriter:
     ):
         # Worker 1 failing is re-rendered before worker 2's part is
         # appended; worker 2 failing is re-rendered after worker 1's.
-        parent = os.getpid()
-        render_window = cli._render_window
-
-        def full_disk_in_one_worker(handle, window, config, start):
-            # Worker j renders window j - 1 of the three over 20,001 rows.
-            if os.getpid() != parent and start == 20_001 * (failing - 1) // 3:
-                raise OSError(28, "No space left on device")
-            render_window(handle, window, config, start)
-
-        monkeypatch.setattr(cli, "_render_window", full_disk_in_one_worker)
+        # Worker j renders window j - 1 of the three over 20,001 rows.
+        fail_in_workers(monkeypatch, starts={20_001 * (failing - 1) // 3})
         out = tmp_path / "fine.csv"
         assert self.simulate(fine_config, out, 3, monkeypatch) == 0
-        assert out.read_bytes() == self.single_render(fine_config)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "fine.csv"]
+        assert out.read_bytes() == single_render(fine_config)
+        assert listing(tmp_path) == ["fine.cfg", "fine.csv"]
 
     def test_fork_failure_renders_every_range_here(
-        self, fine_config, monkeypatch, tmp_path
+        self, fine_config, failed_forks, monkeypatch, tmp_path
     ):
-        def no_fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", no_fork)
         out = tmp_path / "fine.csv"
         assert self.simulate(fine_config, out, 3, monkeypatch) == 0
-        assert out.read_bytes() == self.single_render(fine_config)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "fine.csv"]
+        assert out.read_bytes() == single_render(fine_config)
+        assert listing(tmp_path) == ["fine.cfg", "fine.csv"]
 
     @LONG_OUT_NAMES
     def test_long_out_name_gives_the_golden_bytes(self, length, monkeypatch, tmp_path):
@@ -777,23 +803,21 @@ class TestForkedWriter:
         out = tmp_path / long_name(length)
         assert self.simulate(REFERENCE_CONFIG, out, 2, monkeypatch) == 0
         assert out.read_bytes() == GOLDEN_CSV.read_bytes()
-        assert [p.name for p in tmp_path.iterdir()] == [out.name]
+        assert listing(tmp_path) == [out.name]
 
     @pytest.mark.parametrize("windows", [2, 3])
     def test_long_out_name_gives_the_short_name_bytes(
         self, windows, fine_config, monkeypatch, tmp_path
     ):
-        # Windows of 20,001 rows start at 5-digit rows, the longest part
-        # file names of the two.
+        # 20,001 rows in two or three windows, all but the last rendered by
+        # workers into part files: the split shows in neither name's bytes.
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         short = tmp_path / "short.csv"
         long = tmp_path / long_name(237)
         for out in (short, long):
             assert self.simulate(fine_config, out, windows, monkeypatch) == 0
         assert long.read_bytes() == short.read_bytes()
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            ["fine.cfg", long.name, "short.csv"]
-        )
+        assert listing(tmp_path) == sorted(["fine.cfg", long.name, "short.csv"])
 
     def test_scratch_files_are_not_named_after_out(self, fine_config, monkeypatch, tmp_path):
         # Two workers render windows 0 and 1 into part files and this
@@ -818,7 +842,7 @@ class TestForkedWriter:
             assert re.fullmatch(r"\.[0-9a-f]{12}\.tmp", name), name
             assert out.stem not in name
         assert os.listdir(directory) == [out.name]
-        assert out.read_bytes() == self.single_render(fine_config)
+        assert out.read_bytes() == single_render(fine_config)
 
 
 def _open_fds() -> set[str]:
@@ -838,15 +862,10 @@ def one_template_render(traj, config):
     return cli.CSV_HEADER + "\n" + body if traj.first == 0 else body
 
 
+@pytest.mark.usefixtures("every_worker_reaped")
 class TestConstantColumns:
     """A column constant over a render chunk is formatted once for the chunk;
     the bytes are those of one template per row."""
-
-    @pytest.fixture(autouse=True)
-    def every_worker_reaped(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
     def simulated(text, tmp_path):
@@ -854,12 +873,9 @@ class TestConstantColumns:
         cfg = tmp_path / "case.cfg"
         cfg.write_text(text)
         out = tmp_path / "case.csv"
-        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert main_simulate(out, cfg) == 0
         config = parse_config(text.encode())
-        traj = simulate(
-            config.masses, config.initial, config.wrench, config.dt, config.t_end
-        )
-        return out.read_text(), one_template_render(traj, config)
+        return out.read_text(), one_template_render(trajectory(config), config)
 
     def test_a_last_chunk_of_one_row_is_written(self, tmp_path):
         # 1,025 rows: the second 1,024-row chunk holds one row, in which
@@ -905,15 +921,10 @@ class TestConstantColumns:
         assert not cli._constant([1.0, 2.0, 1.0])
 
 
+@pytest.mark.usefixtures("every_worker_reaped")
 class TestWindows:
     """`simulate` integrates in windows beside forked renderers; errors and
     leftovers are those of one process."""
-
-    @pytest.fixture(autouse=True)
-    def every_worker_reaped(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
     def config(text, t0=None):
@@ -926,10 +937,7 @@ class TestWindows:
     def one_process_error(config):
         """The error of simulating and rendering in one piece."""
         try:
-            traj = simulate(
-                config.masses, config.initial, config.wrench, config.dt, config.t_end
-            )
-            cli.render_trajectory_csv(traj, config)
+            cli.render_trajectory_csv(trajectory(config), config)
         except (DomainError, OverflowError) as exc:
             return exc
         raise AssertionError("the case does not fail")
@@ -1040,7 +1048,7 @@ class TestWindows:
         def forbidden(*args):
             raise AssertionError("called on one usable CPU")
 
-        expected = TestForkedWriter.single_render(fine_config)
+        expected = single_render(fine_config)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(cli, "_WINDOW_ROWS", 4096)
         monkeypatch.setattr(os, "fork", forbidden)
@@ -1062,35 +1070,18 @@ class TestWindows:
         result = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
         assert result.returncode == 3
         assert result.stderr == f"error: simulation diverged: {message}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["late.cfg"]
-
-    @staticmethod
-    def fail_in_workers(monkeypatch):
-        parent = os.getpid()
-        render_window = cli._render_window
-
-        def full_disk_in_workers(handle, window, config, start):
-            if os.getpid() != parent:
-                raise OSError(28, "No space left on device")
-            render_window(handle, window, config, start)
-
-        monkeypatch.setattr(cli, "_render_window", full_disk_in_workers)
-
-    @staticmethod
-    def fail_to_fork(monkeypatch):
-        def no_fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", no_fork)
+        assert listing(tmp_path) == ["late.cfg"]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("failure", [None, "worker", "fork"])
-    def test_nothing_is_left_behind(self, failure, cpus, fine_config, monkeypatch, tmp_path):
-        expected = TestForkedWriter.single_render(fine_config)
+    def test_nothing_is_left_behind(
+        self, failure, cpus, fine_config, monkeypatch, request, tmp_path
+    ):
+        expected = single_render(fine_config)
         if failure == "worker":
-            self.fail_in_workers(monkeypatch)
+            fail_in_workers(monkeypatch)
         elif failure == "fork":
-            self.fail_to_fork(monkeypatch)
+            request.getfixturevalue("failed_forks")
         monkeypatch.setattr(cli, "_processes", lambda units: 4)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         fds = _open_fds()
@@ -1098,25 +1089,15 @@ class TestWindows:
         assert cli.cmd_simulate(parse_config(fine_config.read_bytes()), str(out)) == 0
         assert out.read_bytes() == expected
         assert _open_fds() == fds
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "fine.csv"]
+        assert listing(tmp_path) == ["fine.cfg", "fine.csv"]
 
     def test_exception_in_this_process_kills_every_worker(
-        self, fine_config, monkeypatch, tmp_path
+        self, fine_config, forked, monkeypatch, tmp_path
     ):
         # The first worker's part fails to append while the others run.
-        forked = []
-        fork = os.fork
-
-        def counting_fork():
-            pid = fork()
-            if pid:
-                forked.append(pid)
-            return pid
-
         def interrupted(fd, part):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(cli, "_append_part", interrupted)
         monkeypatch.setattr(cli, "_processes", lambda units: 4)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
@@ -1128,7 +1109,7 @@ class TestWindows:
         assert len(forked) == 3
         assert _open_fds() == fds
         assert out.read_text() == "previous contents\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.cfg", "fine.csv"]
+        assert listing(tmp_path) == ["fine.cfg", "fine.csv"]
 
     def test_helper_kills_a_running_worker_on_exception(self):
         began = time.monotonic()
@@ -1174,12 +1155,10 @@ class TestFlatMemory:
             )
         )
         out = tmp_path / f"{rows}.csv"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
         result = subprocess.run(
             [sys.executable, "-c", _PEAK_RSS_KB, sys.executable, "-m", "cellstage",
              "simulate", "--config", str(cfg), "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=300,
+            capture_output=True, text=True, env=_cli_env(), timeout=300,
         )
         code, maxrss_kb = map(int, result.stdout.split())
         assert code == 0, result.stderr
@@ -1226,7 +1205,7 @@ class TestFullDisk:
         assert result.returncode == 2
         assert result.stderr == "error: [Errno 27] File too large\n"
         assert out.read_text() == "previous contents\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["long.cfg", "long.csv"]
+        assert listing(tmp_path) == ["long.cfg", "long.csv"]
 
 
 class TestVerify:
@@ -1259,8 +1238,7 @@ class TestVerify:
         # the first are written once the reader has read one and closed the
         # pipe. Buffered, the reader closes before anything is written and
         # the report reaches the pipe only when main flushes it.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        env = _cli_env()
         env.pop("PYTHONUNBUFFERED", None)
         flags = ["-u"] if unbuffered else []
         proc = subprocess.Popen(
@@ -1324,15 +1302,10 @@ class TestVerify:
         assert "counterexample sample_index=" in out
 
 
+@pytest.mark.usefixtures("every_worker_reaped")
 class TestForkedVerify:
     """`verify` splits every property's samples among forked workers;
     nothing may show it."""
-
-    @pytest.fixture(autouse=True)
-    def every_worker_reaped(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
     def verify(samples, seed, workers, monkeypatch, capsys):
@@ -1392,16 +1365,9 @@ class TestForkedVerify:
         self.only_fake_property(monkeypatch, tolerance, outcomes, 9, 42)
         assert self.verify(9, 42, workers, monkeypatch, capsys) == (1, report)
 
-    def test_fork_failure_scans_every_range_here(self, monkeypatch, capsys):
-        attempts = []
-
-        def no_fork():
-            attempts.append(1)
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", no_fork)
+    def test_fork_failure_scans_every_range_here(self, failed_forks, monkeypatch, capsys):
         code, out = self.verify(40, 7, 3, monkeypatch, capsys)
-        assert attempts == [1, 1]
+        assert failed_forks == [1, 1]
         assert code == 0
         assert out == (DATA_DIR / "verify_seed7_samples40.txt").read_text()
 
@@ -1430,7 +1396,7 @@ class TestForkedVerify:
         assert code == 0
         assert out == (DATA_DIR / "verify_seed7_samples40.txt").read_text()
 
-    def test_closed_stdout_kills_and_reaps_every_worker(self, monkeypatch):
+    def test_closed_stdout_kills_and_reaps_every_worker(self, forked, monkeypatch):
         class ClosedPipe:
             def write(self, text):
                 raise BrokenPipeError(32, "Broken pipe")
@@ -1438,16 +1404,6 @@ class TestForkedVerify:
             def flush(self):
                 pass
 
-        forked = []
-        fork = os.fork
-
-        def counting_fork():
-            pid = fork()
-            if pid:
-                forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counting_fork)
         monkeypatch.setattr(cli, "_processes", lambda n: 3)
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         with pytest.raises(BrokenPipeError):

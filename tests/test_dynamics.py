@@ -1,14 +1,14 @@
-import importlib.util
 import math
+import os
+import subprocess
 import sys
-from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
 import cellstage
-from cellstage import _backend, _rng, dynamics, frames, linalg2
+from cellstage import _backend, dynamics
 from cellstage.dynamics import (
     MAX_STEPS,
     MassParams,
@@ -35,6 +35,13 @@ from cellstage.errors import DomainError, SingularError
 from cellstage.frames import Calibration, transformation_matrix
 from cellstage.linalg2 import IDENTITY, Mat2, Vec2, determinant, inverse2, mat_vec_mul
 from cellstage._rng import SplitMix64
+from cellstage.propcheck import (
+    sample_calibration,
+    sample_initial_state,
+    sample_masses,
+    sample_wrench,
+)
+from conftest import REPO_ROOT, _cli_env, degenerate_calibration
 
 mpmath.mp.dps = 50
 
@@ -84,13 +91,7 @@ class TestMassMatrix:
     def test_structure(self):
         rng = SplitMix64(5)
         for _ in range(100):
-            m = mass_matrix(
-                MassParams(
-                    rng.log_uniform(1e-3, 10.0),
-                    rng.log_uniform(1e-3, 10.0),
-                    rng.log_uniform(1e-3, 10.0),
-                )
-            )
+            m = mass_matrix(sample_masses(rng))
             assert m.a11 > 0.0 and m.a22 > 0.0
             assert m.a12 == 0.0 and m.a21 == 0.0
 
@@ -127,7 +128,7 @@ class TestDynamicsResidual:
         for _ in range(50):
             accel = Vec2(rng.uniform(-10, 10), rng.uniform(-10, 10))
             vel = Vec2(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            w = Wrench(*(rng.uniform(-10, 10) for _ in range(4)))
+            w = sample_wrench(rng)
             base = dynamics_residual(CANONICAL_MASSES, accel, vel, ZERO_WRENCH)
             shifted = dynamics_residual(CANONICAL_MASSES, accel, vel, w)
             dev = (shifted - (base - w.net_input())).inf_norm()
@@ -190,14 +191,8 @@ class TestAnalyticHomogeneousSolution:
     def test_residual_vanishes_on_grid(self):
         rng = SplitMix64(99)
         for _ in range(20):
-            m = MassParams(*(rng.log_uniform(1e-3, 10.0) for _ in range(3)))
-            init = StageState(
-                0.0,
-                rng.uniform(-100, 100),
-                rng.uniform(-100, 100),
-                rng.uniform(-100, 100),
-                rng.uniform(-100, 100),
-            )
+            m = sample_masses(rng)
+            init = sample_initial_state(rng)
             for i in range(51):
                 t = 10.0 * i / 50
                 state = analytic_homogeneous_solution(m, init, t)
@@ -209,9 +204,9 @@ class TestAnalyticHomogeneousSolution:
 
 
 def random_closed_form_case(rng):
-    m = MassParams(*(rng.log_uniform(1e-3, 10.0) for _ in range(3)))
-    init = StageState(0.0, *(rng.uniform(-100, 100) for _ in range(4)))
-    w = Wrench(*(rng.uniform(-10, 10) for _ in range(4)))
+    m = sample_masses(rng)
+    init = sample_initial_state(rng)
+    w = sample_wrench(rng)
     times = [0.0] + [rng.uniform(0.0, 10.0) for _ in range(20)]
     return m, init, w, times
 
@@ -381,8 +376,8 @@ class TestAnalyticConstantInputSolution:
     def test_zero_wrench_reduces_bitwise(self):
         rng = SplitMix64(31)
         for _ in range(200):
-            m = MassParams(*(rng.log_uniform(1e-3, 10.0) for _ in range(3)))
-            init = StageState(0.0, *(rng.uniform(-100, 100) for _ in range(4)))
+            m = sample_masses(rng)
+            init = sample_initial_state(rng)
             t = rng.uniform(0.0, 10.0)
             a = analytic_homogeneous_solution(m, init, t)
             b = analytic_constant_input_solution(m, init, ZERO_WRENCH, t)
@@ -418,9 +413,9 @@ class TestAnalyticConstantInputSolution:
     def test_solves_the_ode(self):
         rng = SplitMix64(47)
         for _ in range(100):
-            m = MassParams(*(rng.log_uniform(1e-3, 10.0) for _ in range(3)))
-            init = StageState(0.0, *(rng.uniform(-100, 100) for _ in range(4)))
-            w = Wrench(*(rng.uniform(-10, 10) for _ in range(4)))
+            m = sample_masses(rng)
+            init = sample_initial_state(rng)
+            w = sample_wrench(rng)
             t = rng.uniform(0.0, 10.0)
             state = analytic_constant_input_solution(m, init, w, t)
             accel = analytic_constant_input_acceleration(m, init, w, t)
@@ -606,6 +601,28 @@ class TestSimulate:
             simulate(CANONICAL_MASSES, init, ZERO_WRENCH, dt, t_end)
 
 
+#: Runs argv[1] with the modules the benchmark's tracer patches in scope,
+#: installs the tracer as `cellbench/run.py --trace 1` does, and runs a
+#: traced `cellstage verify --samples 2`.
+_TRACED_CHILD = """
+import sys
+from cellstage import _backend, _rng, cli, dynamics, frames, linalg2, propcheck, scenario
+import tracer
+exec(sys.argv[1])
+tracer.install(tracer.Tracer())
+sys.exit(cli.main(["verify", "--samples", "2"]))
+"""
+
+
+def traced_child(before: str = "") -> subprocess.CompletedProcess:
+    env = _cli_env()
+    env["PYTHONPATH"] = str(REPO_ROOT / "cellbench") + os.pathsep + env["PYTHONPATH"]
+    return subprocess.run(
+        [sys.executable, "-c", _TRACED_CHILD, before],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 class TestBenchmarkImportContract:
     def test_simulate_calls_the_backend_kernel(self, monkeypatch):
         # The cellbench tracer wraps _backend.rk4_stage_path and records
@@ -624,21 +641,18 @@ class TestBenchmarkImportContract:
         assert len(calls) == 1
 
     def test_every_traced_name_resolves(self):
-        # A name missing here makes `cellbench/run.py --trace 1` fail with
-        # AttributeError when the tracer installs its wrappers.
-        path = Path(__file__).resolve().parent.parent / "cellbench" / "tracer.py"
-        spec = importlib.util.spec_from_file_location("cellbench_tracer", path)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
-        targets = [
-            (dynamics, tracer._CLOSED_FORMS + tracer._DYNAMICS_OTHER),
-            (frames, tracer._FRAMES),
-            (linalg2, tracer._LINALG2),
-            (_rng.SplitMix64, tracer._RNG_METHODS),
-        ]
-        for owner, names in targets:
-            missing = [name for name in names if not callable(vars(owner).get(name))]
-            assert missing == [], f"{owner.__name__} lacks {missing}"
+        # A name missing here makes `cellbench/run.py --trace 1` fail when
+        # the tracer installs its wrappers; a traced verify then runs.
+        result = traced_child()
+        assert (result.returncode, result.stderr) == (0, "")
+
+    @pytest.mark.parametrize(
+        "name", ["frames.stage_to_image", "_rng.SplitMix64.uniform", "propcheck.check_theorem"]
+    )
+    def test_a_missing_traced_name_fails_the_install(self, name):
+        result = traced_child(f"del {name}")
+        assert result.returncode == 1
+        assert name.rpartition(".")[2] in result.stderr.splitlines()[-1]
 
     def test_state_keeps_its_post_init(self):
         # tracer.install counts dynamics.states_built by patching
@@ -751,14 +765,8 @@ class TestImageSpaceDynamics:
     def test_inertia_determinant_scaling(self):
         rng = SplitMix64(13)
         for _ in range(100):
-            m = MassParams(*(rng.log_uniform(1e-3, 10.0) for _ in range(3)))
-            c = Calibration(
-                alpha=rng.uniform(-math.pi, math.pi),
-                dx=rng.uniform_open_low(10.0),
-                dy=rng.uniform_open_low(10.0),
-                fx=rng.log_uniform(0.1, 100.0),
-                fy=rng.log_uniform(0.1, 100.0),
-            )
+            m = sample_masses(rng)
+            c = sample_calibration(rng)
             det_inertia = determinant(inertia_matrix(m, c))
             want = determinant(mass_matrix(m)) / (c.fx * c.fy)
             assert abs(det_inertia - want) <= 1e-12 * max(1.0, abs(want))
@@ -790,7 +798,7 @@ class TestImageSpaceDynamics:
         for _ in range(100):
             accel = Vec2(rng.uniform(-100, 100), rng.uniform(-100, 100))
             vel = Vec2(rng.uniform(-100, 100), rng.uniform(-100, 100))
-            w = Wrench(*(rng.uniform(-10, 10) for _ in range(4)))
+            w = sample_wrench(rng)
             img = image_dynamics_residual(CANONICAL_MASSES, c, accel, vel, w)
             stage = dynamics_residual(CANONICAL_MASSES, accel, vel, w)
             assert (img - stage).inf_norm() <= 1e-15
@@ -798,16 +806,10 @@ class TestImageSpaceDynamics:
     def test_transformed_zero_residual_states(self):
         rng = SplitMix64(123)
         for _ in range(200):
-            m = MassParams(*(rng.log_uniform(1e-3, 10.0) for _ in range(3)))
-            c = Calibration(
-                alpha=rng.uniform(-math.pi, math.pi),
-                dx=rng.uniform_open_low(10.0),
-                dy=rng.uniform_open_low(10.0),
-                fx=rng.log_uniform(0.1, 100.0),
-                fy=rng.log_uniform(0.1, 100.0),
-            )
+            m = sample_masses(rng)
+            c = sample_calibration(rng)
             vel = Vec2(rng.uniform(-100, 100), rng.uniform(-100, 100))
-            w = Wrench(*(rng.uniform(-10, 10) for _ in range(4)))
+            w = sample_wrench(rng)
             net = w.net_input()
             accel = Vec2(
                 (net.e1 - vel.e1) / m.x_effective,
@@ -820,9 +822,7 @@ class TestImageSpaceDynamics:
             assert residual.inf_norm() <= 1e-9 * (1.0 + w.inf_norm())
 
     def test_singular_guard_propagates(self):
-        bad = object.__new__(Calibration)
-        for name, value in dict(alpha=0.0, dx=1.0, dy=1.0, fx=0.0, fy=1.0).items():
-            object.__setattr__(bad, name, value)
+        bad = degenerate_calibration()
         with pytest.raises(SingularError):
             inertia_matrix(CANONICAL_MASSES, bad)
         with pytest.raises(SingularError):

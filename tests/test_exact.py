@@ -28,6 +28,8 @@ positions, plus round-off.
 """
 
 import dataclasses
+import inspect
+import itertools
 import math
 import operator
 import random
@@ -714,3 +716,69 @@ def test_a_regrouped_homogeneous_position_breaks_the_reduction_certificate(monke
     name = "THM4_CONSTANT_INPUT_REDUCTION"
     worst = max(violations(name, REDUCTION_SAMPLES))
     assert 0.0 < worst <= propcheck.PROPERTIES[name][0]
+
+
+class Lifted(Fraction):
+    """A Fraction whose +, -, * and / lift a float operand exactly, so code
+    written for floats runs on it in exact rational arithmetic."""
+
+
+def _lifted(op, reflected):
+    def method(a, b):
+        a, b = Fraction(a), Fraction(b)
+        return Lifted(op(b, a) if reflected else op(a, b))
+
+    return method
+
+
+for _name in ("add", "sub", "mul", "truediv"):
+    setattr(Lifted, f"__{_name}__", _lifted(getattr(operator, _name), False))
+    setattr(Lifted, f"__r{_name}__", _lifted(getattr(operator, _name), True))
+
+#: The grid of the RK4 step identity: 5 masses, 5 steps, 2 inputs, 2 velocities.
+RK4_GRID = (
+    [Fraction(k, 3) for k in (1, 2, 4, 5, 7)],
+    [Fraction(1, k) for k in (2, 3, 5, 7, 11)],
+    [Fraction(0), Fraction(3, 2)],
+    [Fraction(-1), Fraction(5, 4)],
+)
+
+
+def rk4_velocity_gaps(rk4_axis) -> list[Fraction]:
+    """v1 - c - R(z)*(v0 - c) after one step of rk4_axis from each grid point,
+    with z = -dt/m and R the RK4 stability function."""
+    gaps = []
+    for m, dt, c, v0 in itertools.product(*RK4_GRID):
+        vels = [Lifted(v0)]
+        rk4_axis(Lifted(m), Lifted(c), [Lifted(0)], vels, Lifted(dt), 2)
+        assert type(vels[1]) is Lifted
+        z = -dt / m
+        r = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        gaps.append(vels[1] - c - r * (v0 - c))
+    return gaps
+
+
+def test_one_rk4_step_multiplies_the_velocity_gap_by_the_stability_function():
+    """In exact arithmetic, `_backend._rk4_axis` as written gives
+    v1 - c = R(z)*(v0 - c) for every input, which INTEGRATOR_VS_ANALYTIC's
+    certificate assumes.
+
+    With w = 1/m, k1 = (c - v0)*w, and each later stage multiplies by w and
+    at most once by dt: k4 has degree 4 in w and 3 in dt, so v1 = v0 +
+    dt*(k1 + 2*k2 + 2*k3 + k4)/6 has degree at most 4 in w and in dt, and
+    is affine in c and in v0; so is c + R(-dt*w)*(v0 - c). Their difference
+    vanishes on a product grid with 5 values of w (the masses k/3), 5 of dt
+    and 2 each of c and v0, one more than its degree in each variable, so
+    it is the zero polynomial (Schwartz 1980, the deterministic case).
+    """
+    gaps = rk4_velocity_gaps(_backend._rk4_axis)
+    assert len(gaps) == 5 * 5 * 2 * 2
+    assert set(gaps) == {0}
+
+
+def test_a_changed_rk4_coefficient_breaks_the_identity():
+    source = inspect.getsource(_backend._rk4_axis)
+    assert source.count("2.0 * k3") == 1
+    namespace = dict(vars(_backend))
+    exec(source.replace("2.0 * k3", "3.0 * k3"), namespace)
+    assert any(rk4_velocity_gaps(namespace["_rk4_axis"]))

@@ -26,7 +26,8 @@ from cellstage.frames import (
 )
 from cellstage.linalg2 import IDENTITY, Mat2, Vec2, determinant, inverse2, mat_mul
 from cellstage._rng import SplitMix64
-from conftest import REFERENCE_CONFIG
+from cellstage.propcheck import sample_calibration, sample_stage_point
+from conftest import REFERENCE_CONFIG, degenerate_calibration
 
 mpmath.mp.dps = 50
 
@@ -37,13 +38,13 @@ offsets = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
 
 calibrations = st.builds(Calibration, alpha=angles, dx=offsets, dy=offsets, fx=scales, fy=scales)
 
-
-def degenerate_calibration(**fields) -> Calibration:
-    """Build a Calibration around its validation, for guard tests only."""
-    c = object.__new__(Calibration)
-    for name, value in fields.items():
-        object.__setattr__(c, name, value)
-    return c
+#: Each point map with a point of its input frame.
+POINT_MAPS = (
+    (stage_to_camera, StagePoint(1.0, 2.0)),
+    (stage_to_image, StagePoint(1.0, 2.0)),
+    (camera_to_image, CameraPoint(1.0, 2.0)),
+    (image_to_stage, ImagePoint(1.0, 2.0)),
+)
 
 
 class TestCalibration:
@@ -209,14 +210,8 @@ class TestStageToImage:
     def test_composition_over_seeded_draws(self):
         rng = SplitMix64(2024)
         for _ in range(1000):
-            c = Calibration(
-                alpha=rng.uniform(-math.pi, math.pi),
-                dx=rng.uniform_open_low(10.0),
-                dy=rng.uniform_open_low(10.0),
-                fx=rng.log_uniform(0.1, 100.0),
-                fy=rng.log_uniform(0.1, 100.0),
-            )
-            p = StagePoint(rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0))
+            c = sample_calibration(rng)
+            p = sample_stage_point(rng)
             direct = stage_to_image(p, c)
             composed = camera_to_image(stage_to_camera(p, c), c)
             scale_u = max(1.0, c.fx * (abs(p.x) + abs(p.y) + c.dx))
@@ -241,7 +236,7 @@ class TestImageToStage:
         assert abs(back.y - p.y) <= 1e-12 * scale
 
     def test_singular_guard_fires_on_degenerate_calibration(self):
-        bad = degenerate_calibration(alpha=0.0, dx=1.0, dy=1.0, fx=0.0, fy=1.0)
+        bad = degenerate_calibration()
         with pytest.raises(SingularError):
             image_to_stage(ImagePoint(1.0, 1.0), bad)
 
@@ -251,13 +246,7 @@ class TestColumnTransforms:
         rng = SplitMix64(2024)
         image_bits, stage_bits = set(), set()
         for _ in range(20):
-            c = Calibration(
-                alpha=rng.uniform(-math.pi, math.pi),
-                dx=rng.uniform_open_low(10.0),
-                dy=rng.uniform_open_low(10.0),
-                fx=rng.log_uniform(0.1, 100.0),
-                fy=rng.log_uniform(0.1, 100.0),
-            )
+            c = sample_calibration(rng)
             xs = [rng.uniform(-1e3, 1e3) for _ in range(50)] + [-0.0, 0.0, -0.0]
             ys = [rng.uniform(-1e3, 1e3) for _ in range(50)] + [-0.0, -0.0, 0.0]
             ca = math.cos(c.alpha)
@@ -368,12 +357,7 @@ class TestCoefficientCache:
     def test_cache_is_invisible_to_eq_hash_repr(self):
         fields = dict(alpha=0.3, dx=1.0, dy=2.0, fx=1.5, fy=2.5)
         used, fresh = Calibration(**fields), Calibration(**fields)
-        for fn, p in (
-            (stage_to_camera, StagePoint(1.0, 2.0)),
-            (stage_to_image, StagePoint(1.0, 2.0)),
-            (camera_to_image, CameraPoint(1.0, 2.0)),
-            (image_to_stage, ImagePoint(1.0, 2.0)),
-        ):
+        for fn, p in POINT_MAPS:
             fn(p, used)
         assert used == fresh
         assert hash(used) == hash(fresh)
@@ -381,7 +365,7 @@ class TestCoefficientCache:
         assert repr(used) == "Calibration(alpha=0.3, dx=1.0, dy=2.0, fx=1.5, fy=2.5)"
 
     def test_degenerate_calibration_raises_on_every_call(self):
-        bad = degenerate_calibration(alpha=0.0, dx=1.0, dy=1.0, fx=0.0, fy=1.0)
+        bad = degenerate_calibration()
         for _ in range(3):
             with pytest.raises(SingularError):
                 image_to_stage(ImagePoint(1.0, 1.0), bad)
@@ -393,13 +377,7 @@ class TestCoefficientCache:
     def test_point_maps_bit_equal_to_literal_affine_forms(self):
         rng = SplitMix64(9)
         for _ in range(200):
-            c = Calibration(
-                alpha=rng.uniform(-math.pi, math.pi),
-                dx=rng.uniform_open_low(10.0),
-                dy=rng.uniform_open_low(10.0),
-                fx=rng.log_uniform(0.1, 100.0),
-                fy=rng.log_uniform(0.1, 100.0),
-            )
+            c = sample_calibration(rng)
             ca = math.cos(c.alpha)
             sa = math.sin(c.alpha)
             fx, fy, dx, dy = c.fx, c.fy, c.dx, c.dy
@@ -444,12 +422,7 @@ class TestOneCore:
 
     def test_each_point_map_calls_the_core_once(self, calls):
         c = Calibration(alpha=0.4, dx=1.0, dy=2.0, fx=3.0, fy=5.0)
-        for fn, p in (
-            (stage_to_camera, StagePoint(1.0, 2.0)),
-            (stage_to_image, StagePoint(1.0, 2.0)),
-            (camera_to_image, CameraPoint(1.0, 2.0)),
-            (image_to_stage, ImagePoint(1.0, 2.0)),
-        ):
+        for fn, p in POINT_MAPS:
             calls.clear()
             fn(p, c)
             assert len(calls) == 1, fn.__name__
@@ -483,13 +456,7 @@ class TestColumnMapContract:
         rng = SplitMix64(1313)
         signed_zeros = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)]
         for _ in range(200):
-            c = Calibration(
-                alpha=rng.uniform(-math.pi, math.pi),
-                dx=rng.uniform_open_low(10.0),
-                dy=rng.uniform_open_low(10.0),
-                fx=rng.log_uniform(0.1, 100.0),
-                fy=rng.log_uniform(0.1, 100.0),
-            )
+            c = sample_calibration(rng)
             rows = [(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)) for _ in range(6)]
             rows += signed_zeros
             xs, ys = [x for x, _ in rows], [y for _, y in rows]

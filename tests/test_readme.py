@@ -41,3 +41,15 @@ def test_ci_runs_the_tier1_line_on_the_python_floor():
     (floor,) = re.findall(r'^requires-python = ">=(\S+)"$', pyproject, re.MULTILINE)
     (versions,) = re.findall(r"^ +python-version: \[(.*)\]$", workflow, re.MULTILINE)
     assert f'"{floor}"' in versions.split(", ")
+
+
+def test_every_ci_job_has_a_timeout():
+    workflow = (REPO_ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    # Each job is its name's line, two spaces in, and the deeper lines after it.
+    jobs = re.findall(
+        r"^  \S.*\n(?:(?:    .*)?\n)*", workflow.split("\njobs:\n", 1)[1], re.MULTILINE
+    )
+    assert jobs
+    for job in jobs:
+        (minutes,) = re.findall(r"^    timeout-minutes: (\d+)$", job, re.MULTILINE)
+        assert int(minutes) > 0, job.splitlines()[0]

@@ -1,12 +1,11 @@
 import math
-from pathlib import Path
 
 import pytest
 
 from cellstage.errors import ParseError
 from cellstage.scenario import ScenarioConfig, parse_config, serialize_config
 
-REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.cfg"
+from conftest import REFERENCE_CONFIG
 
 VALID = """\
 [masses]
