@@ -1,10 +1,12 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from cellstage import cli
 from cellstage.frames import Calibration
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +48,37 @@ def start_cli(*args: str) -> subprocess.Popen:
         cwd=REPO_ROOT,
         env=_cli_env(),
     )
+
+
+def config_text(base: str, **values) -> str:
+    """base with the value of each named key replaced: its line becomes
+    `key = value`, value as str() writes it (a float as repr does). Fails
+    unless the key's line appears exactly once, so an override whose key
+    has drifted cannot leave the text as it was."""
+    for key, value in values.items():
+        base, count = re.subn(
+            rf"^{key} = .*$", lambda _: f"{key} = {value}", base, flags=re.MULTILINE
+        )
+        assert count == 1, f"{key!r} is on {count} lines of the config, not 1"
+    return base
+
+
+def config_file(directory: Path, text: str, name: str) -> Path:
+    """Write text to directory / "<name>.cfg" and return that path."""
+    path = directory / f"{name}.cfg"
+    path.write_text(text)
+    return path
+
+
+def split_work(monkeypatch, processes: int | None = None, cpus: int | None = None):
+    """Make `cli` split any work into `processes` parts, on `cpus` usable
+    CPUs; a value left None stays the host's. Each is set as given, not
+    clamped to the units of work, so a small scenario can take several
+    windows."""
+    if processes is not None:
+        monkeypatch.setattr(cli, "_processes", lambda units: processes)
+    if cpus is not None:
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
 
 
 def degenerate_calibration() -> Calibration:

@@ -32,7 +32,7 @@ from cellstage.linalg2 import Mat2, Vec2, determinant, inverse2, mat_mul
 from cellstage.propcheck import check_theorem
 from cellstage._rng import property_stream
 
-from conftest import DATA_DIR, REFERENCE_CONFIG, run_cli, start_cli
+from conftest import DATA_DIR, REFERENCE_CONFIG, config_file, config_text, run_cli, start_cli
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -278,12 +278,11 @@ def test_c9_error_paths(tmp_path):
 
     base = REFERENCE_CONFIG.read_text()
     for label, bad_text in [
-        ("fx = 0", base.replace("fx = 2.0", "fx = 0.0")),
-        ("mx < 0", base.replace("mx = 0.5", "mx = -0.5")),
-        ("dy = 0", base.replace("dy = 0.5", "dy = 0.0")),
+        ("fx = 0", config_text(base, fx="0.0")),
+        ("mx < 0", config_text(base, mx="-0.5")),
+        ("dy = 0", config_text(base, dy="0.0")),
     ]:
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(bad_text)
+        cfg = config_file(tmp_path, bad_text, "bad")
         result = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv"))
         if result.returncode != 2:
             failures.append(f"{label} exited {result.returncode}")

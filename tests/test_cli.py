@@ -20,7 +20,9 @@ from cellstage.frames import StagePoint, stage_to_image
 from cellstage.linalg2 import Mat2
 from cellstage.scenario import parse_config
 
-from conftest import DATA_DIR, REFERENCE_CONFIG, _cli_env, run_cli
+from conftest import (
+    DATA_DIR, REFERENCE_CONFIG, _cli_env, config_file, config_text, run_cli, split_work
+)
 
 #: Address-space cap for a CLI child that must not allocate at scale.
 _CHILD_ADDRESS_SPACE = 256 * 2**20
@@ -59,18 +61,13 @@ t_end = 1.0
 
 #: u = fx*x + fx*dx first overflows at row 27327 of 30,001, once x passes
 #: about 1.8e8; every later row overflows too.
-WIDE_IMAGE = (
-    TRANSLATION_ONLY.replace("fx = 1.0", "fx = 1e300")
-    .replace("taux = 0.0", "taux = 1e8")
-    .replace("dt = 0.1", "dt = 1e-4")
-    .replace("t_end = 1.0", "t_end = 3.0")
-)
+WIDE_IMAGE = config_text(TRANSLATION_ONLY, fx="1e300", taux="1e8", dt="1e-4", t_end="3.0")
 
 
 #: Zero state and wrench, but 3 * dt rounds to inf: row 3 of 4 is at t = inf.
-OVERFLOWING_TIME = TRANSLATION_ONLY.replace(
-    "dt = 0.1", "dt = 5.992310449541053e+307"
-).replace("t_end = 1.0", "t_end = 1.7976931348623157e308")
+OVERFLOWING_TIME = config_text(
+    TRANSLATION_ONLY, dt="5.992310449541053e+307", t_end="1.7976931348623157e308"
+)
 
 
 #: An --out beside an existing directory "outdir": the directory itself, and
@@ -179,16 +176,12 @@ def fail_in_workers(monkeypatch, starts=None):
 @pytest.fixture
 def fine_config(tmp_path):
     """The reference scenario at dt = 1e-4: 20,001 rows, five chunks."""
-    path = tmp_path / "fine.cfg"
-    path.write_text(REFERENCE_CONFIG.read_text().replace("dt = 0.01", "dt = 0.0001"))
-    return path
+    return config_file(tmp_path, config_text(REFERENCE_CONFIG.read_text(), dt="0.0001"), "fine")
 
 
 @pytest.fixture
 def translation_config(tmp_path):
-    path = tmp_path / "translation.cfg"
-    path.write_text(TRANSLATION_ONLY)
-    return path
+    return config_file(tmp_path, TRANSLATION_ONLY, "translation")
 
 
 class TestTransform:
@@ -200,12 +193,7 @@ class TestTransform:
         assert result.stdout == "camera 4 6\nimage 4 6\n"
 
     def test_scaled(self, translation_config, tmp_path):
-        scaled = tmp_path / "scaled.cfg"
-        scaled.write_text(
-            TRANSLATION_ONLY.replace("fx = 1.0", "fx = 2.0").replace(
-                "fy = 1.0", "fy = 3.0"
-            )
-        )
+        scaled = config_file(tmp_path, config_text(TRANSLATION_ONLY, fx="2.0", fy="3.0"), "scaled")
         result = run_cli("transform", "--config", str(scaled), "--x", "3", "--y", "4")
         assert result.returncode == 0
         # same pose as above: camera (4, 6), image (fx*4, fy*6) = (8, 18)
@@ -226,8 +214,7 @@ class TestTransform:
             assert abs(v - want.v) <= 1e-12 * max(1.0, abs(want.v))
 
     def test_config_error_exits_2(self, tmp_path):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(TRANSLATION_ONLY.replace("fx = 1.0", "fx = 0.0"))
+        bad = config_file(tmp_path, config_text(TRANSLATION_ONLY, fx="0.0"), "bad")
         result = run_cli("transform", "--config", str(bad), "--x", "0", "--y", "0")
         assert result.returncode == 2
         assert "fx must be positive" in result.stderr
@@ -247,6 +234,13 @@ class TestTransform:
 
 
 class TestSimulate:
+    @pytest.fixture(scope="class")
+    def reference_run(self, tmp_path_factory):
+        """One `cellstage simulate` of configs/reference.cfg, which several
+        tests read: its result and its --out."""
+        out = tmp_path_factory.mktemp("reference") / "reference.csv"
+        return run_cli("simulate", "--config", str(REFERENCE_CONFIG), "--out", str(out)), out
+
     def test_rest_state_rows_identical(self, translation_config, tmp_path):
         out = tmp_path / "rest.csv"
         result = run_cli(
@@ -260,11 +254,8 @@ class TestSimulate:
         assert all(row[1:] == cells[0][1:] for row in cells)
         assert cells[0][1:3] == ["0", "0"]
 
-    def test_golden_fixture_byte_identical(self, tmp_path):
-        out = tmp_path / "reference.csv"
-        result = run_cli(
-            "simulate", "--config", str(REFERENCE_CONFIG), "--out", str(out)
-        )
+    def test_golden_fixture_byte_identical(self, reference_run):
+        result, out = reference_run
         assert result.returncode == 0
         assert out.read_bytes() == (DATA_DIR / "reference_trajectory.csv").read_bytes()
 
@@ -307,9 +298,8 @@ class TestSimulate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_image_columns_are_rowwise_transforms(self, tmp_path):
-        out = tmp_path / "reference.csv"
-        run_cli("simulate", "--config", str(REFERENCE_CONFIG), "--out", str(out))
+    def test_image_columns_are_rowwise_transforms(self, reference_run):
+        _, out = reference_run
         config = parse_config(REFERENCE_CONFIG.read_bytes())
         for line in out.read_text().splitlines()[1:]:
             t, x, y, xdot, ydot, xc, yc, u, v = (float(s) for s in line.split(","))
@@ -318,27 +308,21 @@ class TestSimulate:
             assert abs(u - want.u) <= 1e-12 * scale
             assert abs(v - want.v) <= 1e-12 * scale
 
-    def test_final_position_near_analytic_asymptote(self, tmp_path):
-        out = tmp_path / "reference.csv"
-        run_cli("simulate", "--config", str(REFERENCE_CONFIG), "--out", str(out))
+    def test_final_position_near_analytic_asymptote(self, reference_run):
+        _, out = reference_run
         final = out.read_text().splitlines()[-1].split(",")
         # x(2) = xd0 * Mx * (1 - exp(-2)) with Mx = 1
         assert abs(float(final[1]) - (1.0 - math.exp(-2.0))) <= 1e-6
 
-    def test_no_locale_dependent_formatting(self, tmp_path):
-        out = tmp_path / "reference.csv"
-        run_cli("simulate", "--config", str(REFERENCE_CONFIG), "--out", str(out))
+    def test_no_locale_dependent_formatting(self, reference_run):
+        _, out = reference_run
         body = out.read_text()
         for line in body.splitlines()[1:]:
             assert len(line.split(",")) == 9
 
     def test_overflow_exits_3(self, tmp_path):
-        cfg = tmp_path / "diverge.cfg"
-        cfg.write_text(
-            TRANSLATION_ONLY.replace("taux = 0.0", "taux = 1e99").replace(
-                "t_end = 1.0", "t_end = 50.0"
-            )
-        )
+        text = config_text(TRANSLATION_ONLY, taux="1e99", t_end="50.0")
+        cfg = config_file(tmp_path, text, "diverge")
         result = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
         assert result.returncode == 3
         assert result.stderr == (
@@ -348,15 +332,11 @@ class TestSimulate:
     def test_nan_state_exits_3_and_leaves_no_file(self, tmp_path):
         # One 1e199 s step on 1e-12 kg masses turns x and xdot into NaN
         # without either passing 1e100 first.
-        cfg = tmp_path / "nan.cfg"
-        cfg.write_text(
-            TRANSLATION_ONLY.replace("mx = 0.5", "mx = 1e-12")
-            .replace("my = 0.3", "my = 1e-12")
-            .replace("mp = 0.2", "mp = 1e-12")
-            .replace("xd0 = 0.0", "xd0 = 1.0")
-            .replace("dt = 0.1", "dt = 1e199")
-            .replace("t_end = 1.0", "t_end = 1e200")
+        text = config_text(
+            TRANSLATION_ONLY,
+            mx="1e-12", my="1e-12", mp="1e-12", xd0="1.0", dt="1e199", t_end="1e200",
         )
+        cfg = config_file(tmp_path, text, "nan")
         out = tmp_path / "nan.csv"
         result = run_cli("simulate", "--config", str(cfg), "--out", str(out))
         assert result.returncode == 3
@@ -366,8 +346,7 @@ class TestSimulate:
         assert listing(tmp_path) == ["nan.cfg"]
 
     def test_config_error_exits_2(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(TRANSLATION_ONLY.replace("mx = 0.5", "mx = -0.5"))
+        cfg = config_file(tmp_path, config_text(TRANSLATION_ONLY, mx="-0.5"), "bad")
         result = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"))
         assert result.returncode == 2
         assert "mx must be positive" in result.stderr
@@ -375,8 +354,7 @@ class TestSimulate:
     def test_long_horizon_times_are_exact(self, tmp_path):
         # Timestamps past ~8192 s are no longer spaced within 1e-12 of dt;
         # the run must still succeed with t = i*dt on every row.
-        cfg = tmp_path / "long.cfg"
-        cfg.write_text(TRANSLATION_ONLY.replace("t_end = 1.0", "t_end = 9000.0"))
+        cfg = config_file(tmp_path, config_text(TRANSLATION_ONLY, t_end="9000.0"), "long")
         out = tmp_path / "long.csv"
         result = run_cli("simulate", "--config", str(cfg), "--out", str(out))
         assert result.returncode == 0, result.stderr
@@ -387,8 +365,7 @@ class TestSimulate:
     def test_non_finite_image_column_exits_2_and_leaves_no_file(self, tmp_path):
         # u = fx*x + fx*dx overflows once x passes ~1.8e8, about 28,000 rows
         # in: several chunks have been written by then.
-        cfg = tmp_path / "wide.cfg"
-        cfg.write_text(WIDE_IMAGE)
+        cfg = config_file(tmp_path, WIDE_IMAGE, "wide")
         out = tmp_path / "wide.csv"
         out.write_text("previous contents\n")
         assert main_simulate(out, cfg) == 2
@@ -404,8 +381,7 @@ class TestSimulate:
 
     def test_infinite_time_exits_2_and_leaves_out_untouched(self, tmp_path):
         # 3 * dt rounds to inf, so the last of the 4 rows would be at t = inf.
-        cfg = tmp_path / "inf.cfg"
-        cfg.write_text(OVERFLOWING_TIME)
+        cfg = config_file(tmp_path, OVERFLOWING_TIME, "inf")
         out = tmp_path / "inf.csv"
         out.write_text("previous contents\n")
         result = run_cli("simulate", "--config", str(cfg), "--out", str(out))
@@ -420,12 +396,8 @@ class TestSimulate:
         # runs; nothing cap-sized is simulated. The child's address space
         # and time are capped, so a cap that stopped rejecting this horizon
         # fails fast (MemoryError) instead of filling about 2 GB first.
-        cfg = tmp_path / "capped.cfg"
-        cfg.write_text(
-            TRANSLATION_ONLY.replace("dt = 0.1", "dt = 0.5").replace(
-                "t_end = 1.0", f"t_end = {0.5 * (MAX_STEPS + 1)!r}"
-            )
-        )
+        text = config_text(TRANSLATION_ONLY, dt="0.5", t_end=0.5 * (MAX_STEPS + 1))
+        cfg = config_file(tmp_path, text, "capped")
         out = tmp_path / "capped.csv"
         result = run_cli(
             "simulate", "--config", str(cfg), "--out", str(out),
@@ -668,8 +640,7 @@ class TestOutLinksAndModes:
         assert stat.S_IMODE(out.stat().st_mode) == mode
 
     def test_failed_run_leaves_link_target_and_directories(self, tmp_path):
-        cfg = tmp_path / "inf.cfg"
-        cfg.write_text(OVERFLOWING_TIME)
+        cfg = config_file(tmp_path, OVERFLOWING_TIME, "inf")
         data = tmp_path / "data"
         data.mkdir()
         real = data / "real.csv"
@@ -692,7 +663,7 @@ class TestForkedWriter:
 
     @staticmethod
     def simulate(cfg, out, parts, monkeypatch):
-        monkeypatch.setattr(cli, "_processes", lambda units: parts)
+        split_work(monkeypatch, processes=parts)
         return main_simulate(out, cfg)
 
     def test_parts_follow_cpus_and_whole_chunks(self, monkeypatch):
@@ -738,8 +709,7 @@ class TestForkedWriter:
     def test_non_finite_row_is_named_from_any_range(
         self, t_end, parts, monkeypatch, tmp_path, capsys
     ):
-        cfg = tmp_path / "wide.cfg"
-        cfg.write_text(WIDE_IMAGE.replace("t_end = 3.0", f"t_end = {t_end}"))
+        cfg = config_file(tmp_path, config_text(WIDE_IMAGE, t_end=t_end), "wide")
         out = tmp_path / "wide.csv"
         out.write_text("previous contents\n")
         assert self.simulate(cfg, out, parts, monkeypatch) == 2
@@ -750,7 +720,7 @@ class TestForkedWriter:
     def test_error_names_the_first_bad_row_of_any_column(self):
         # v overflows at row 5 and u at row 9 (fx = fy = 1e300): the error
         # names row 5 however the rows are split, although u is checked first.
-        config = parse_config(WIDE_IMAGE.replace("fy = 1.0", "fy = 1e300").encode())
+        config = parse_config(config_text(WIDE_IMAGE, fy="1e300").encode())
         x = [0.0] * 20
         y = [0.0] * 20
         x[9] = 1e9
@@ -762,9 +732,7 @@ class TestForkedWriter:
 
     def test_nan_coordinate_is_named_by_its_row(self):
         # At 45 degrees with fx = 1e300, u at (1e9, -1e9) is inf - inf.
-        config = parse_config(
-            WIDE_IMAGE.replace("alpha = 0.0", f"alpha = {math.pi / 4!r}").encode()
-        )
+        config = parse_config(config_text(WIDE_IMAGE, alpha=math.pi / 4).encode())
         x = [0.0] * 10
         y = [0.0] * 10
         x[7] = 1e9
@@ -799,7 +767,7 @@ class TestForkedWriter:
     def test_long_out_name_gives_the_golden_bytes(self, length, monkeypatch, tmp_path):
         # Two windows: a worker renders rows 0-99 into a part file and this
         # process rows 100-200 into another.
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        split_work(monkeypatch, cpus=2)
         out = tmp_path / long_name(length)
         assert self.simulate(REFERENCE_CONFIG, out, 2, monkeypatch) == 0
         assert out.read_bytes() == GOLDEN_CSV.read_bytes()
@@ -811,7 +779,7 @@ class TestForkedWriter:
     ):
         # 20,001 rows in two or three windows, all but the last rendered by
         # workers into part files: the split shows in neither name's bytes.
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        split_work(monkeypatch, cpus=2)
         short = tmp_path / "short.csv"
         long = tmp_path / long_name(237)
         for out in (short, long):
@@ -823,7 +791,7 @@ class TestForkedWriter:
         # Two workers render windows 0 and 1 into part files and this
         # process window 2 into a third; the directory is listed as each
         # part is appended.
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        split_work(monkeypatch, cpus=2)
         directory = tmp_path / "out"
         directory.mkdir()
         out = directory / long_name(255)
@@ -870,8 +838,7 @@ class TestConstantColumns:
     @staticmethod
     def simulated(text, tmp_path):
         """(cellstage simulate's CSV, the one-template render) of config text."""
-        cfg = tmp_path / "case.cfg"
-        cfg.write_text(text)
+        cfg = config_file(tmp_path, text, "case")
         out = tmp_path / "case.csv"
         assert main_simulate(out, cfg) == 0
         config = parse_config(text.encode())
@@ -880,7 +847,7 @@ class TestConstantColumns:
     def test_a_last_chunk_of_one_row_is_written(self, tmp_path):
         # 1,025 rows: the second 1,024-row chunk holds one row, in which
         # every column but time is constant.
-        text = REFERENCE_CONFIG.read_text().replace("t_end = 2.0", "t_end = 10.24")
+        text = config_text(REFERENCE_CONFIG.read_text(), t_end="10.24")
         got, want = self.simulated(text, tmp_path)
         assert got.count("\n") == 1 + 1025
         assert got == want
@@ -888,7 +855,7 @@ class TestConstantColumns:
     def test_undriven_run_from_rest(self, tmp_path):
         # Every non-time column is constant in every chunk, over 2 windows
         # of 2 chunks or more.
-        text = TRANSLATION_ONLY.replace("t_end = 1.0", "t_end = 900.0")
+        text = config_text(TRANSLATION_ONLY, t_end="900.0")
         got, want = self.simulated(text, tmp_path)
         assert got.count("\n") == 1 + 9001
         assert got == want
@@ -942,9 +909,12 @@ class TestWindows:
             return exc
         raise AssertionError("the case does not fail")
 
-    DIVERGES = TRANSLATION_ONLY.replace("taux = 0.0", "taux = 1e99")
+    DIVERGES = config_text(TRANSLATION_ONLY, taux="1e99")
     #: At t0 = 2**53 - k with dt = 1, rows k and k + 1 are both at 2**53.
-    UNIT_STEP = TRANSLATION_ONLY.replace("dt = 0.1", "dt = 1.0")
+    UNIT_STEP = config_text(TRANSLATION_ONLY, dt="1.0")
+    #: The error of a path that diverges at a step.
+    DIVERGED = "state left [-1e+100, 1e+100] at step {}"
+    SAME_TIME = "timestamps must be strictly increasing: 9007199254740992.0 -> 9007199254740992.0"
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("windows", [1, 2, 3, 4])
@@ -952,29 +922,42 @@ class TestWindows:
         "text, t0, error",
         [
             # 131 rows: step 110 is in the last window of 2 and of 3.
-            (DIVERGES.replace("t_end = 1.0", "t_end = 13.0"), None,
-             "state left [-1e+100, 1e+100] at step 110"),
+            (config_text(DIVERGES, t_end="13.0"), None, DIVERGED.format(110)),
             # u is inf from row 1, in the first window, but the later
             # divergence wins, as it does in one process.
-            (DIVERGES.replace("t_end = 1.0", "t_end = 13.0").replace("fx = 1.0", "fx = 1e300"),
-             None, "state left [-1e+100, 1e+100] at step 110"),
+            (config_text(DIVERGES, t_end="13.0", fx="1e300"), None, DIVERGED.format(110)),
             # 12 rows, 2**53 at rows 5 and 6: the seam of 2 windows.
-            (UNIT_STEP.replace("t_end = 1.0", f"t_end = {2.0**53 + 6!r}"), 2.0**53 - 5,
-             "timestamps must be strictly increasing: 9007199254740992.0 -> 9007199254740992.0"),
+            (config_text(UNIT_STEP, t_end=2.0**53 + 6), 2.0**53 - 5, SAME_TIME),
             # 31 rows: a time error at row 5 and a divergence at step 11.
-            (UNIT_STEP.replace("taux = 0.0", "taux = 1e99").replace(
-                "t_end = 1.0", f"t_end = {2.0**53 + 26!r}"), 2.0**53 - 5,
-             "state left [-1e+100, 1e+100] at step 11"),
+            (config_text(UNIT_STEP, taux="1e99", t_end=2.0**53 + 26), 2.0**53 - 5,
+             DIVERGED.format(11)),
             # 32 rows: u is inf from row 3, in the first window, and 2**53 is
             # at rows 25 and 26, in the last: the bad time still wins.
-            (UNIT_STEP.replace("taux = 0.0", "taux = 1e8").replace("fx = 1.0", "fx = 1e300")
-             .replace("t_end = 1.0", f"t_end = {2.0**53 + 6!r}"), 2.0**53 - 25,
-             "timestamps must be strictly increasing: 9007199254740992.0 -> 9007199254740992.0"),
+            (config_text(UNIT_STEP, taux="1e8", fx="1e300", t_end=2.0**53 + 6), 2.0**53 - 25,
+             SAME_TIME),
             # 30,001 rows: only a bad row.
             (WIDE_IMAGE, None, "u[27327] must be finite, got inf"),
+            # 4 rows: only a bad time.
+            (OVERFLOWING_TIME, None, "t[3] must be finite, got inf"),
+            # 210 rows: step 105 is the first of the second window of 2.
+            (config_text(TRANSLATION_ONLY, taux="1.06e99", tauy="5e98", t_end="20.95"), None,
+             DIVERGED.format(105)),
+            (config_text(TRANSLATION_ONLY, taux="1e99", tauy="1e99", t_end="20.95"), None,
+             DIVERGED.format(105)),
+            (config_text(TRANSLATION_ONLY, taux="1.06e99", tauy="-1e99", t_end="20.95"), None,
+             DIVERGED.format(105)),
+            (config_text(TRANSLATION_ONLY, mx="1e-12", my="1e-12", mp="1e-12", yd0="1.0",
+                         dt="1e199", t_end="1e200"), None, DIVERGED.format(1)),
+            # 12,001 rows: step 10,400 is in the last window and past a
+            # kernel round.
+            (config_text(TRANSLATION_ONLY, mp="0.1", tauy="1e99", dt="1e-3", t_end="12.0"), None,
+             DIVERGED.format(10_400)),
+            # x at rest out of range from the start.
+            (config_text(TRANSLATION_ONLY, x0="2e100"), None, DIVERGED.format(1)),
         ],
         ids=["late-divergence", "bad-u-then-divergence", "seam-time", "time-then-divergence",
-             "bad-u-then-time", "bad-u"],
+             "bad-u-then-time", "bad-u", "infinite-time", "x-first", "y-first", "same-step",
+             "y-nan", "y-past-a-round", "x-starts-out"],
     )
     def test_error_is_the_one_process_error(
         self, text, t0, error, windows, cpus, monkeypatch, tmp_path
@@ -982,66 +965,13 @@ class TestWindows:
         config = self.config(text, t0)
         expected = self.one_process_error(config)
         assert str(expected) == error
-        monkeypatch.setattr(cli, "_processes", lambda units: windows)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        # A divergence is an OverflowError; a bad time or row a DomainError.
+        assert type(expected) is (OverflowError if error.startswith("state left") else DomainError)
+        split_work(monkeypatch, processes=windows, cpus=cpus)
         out = tmp_path / "out.csv"
         with pytest.raises(type(expected)) as raised:
             cli.cmd_simulate(config, str(out))
         assert str(raised.value) == error
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("windows", [1, 2, 3, 4])
-    def test_infinite_time_is_the_one_process_error(
-        self, windows, cpus, monkeypatch, tmp_path
-    ):
-        config = self.config(OVERFLOWING_TIME)
-        assert str(self.one_process_error(config)) == "t[3] must be finite, got inf"
-        monkeypatch.setattr(cli, "_processes", lambda units: windows)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        with pytest.raises(DomainError, match=r"^t\[3\] must be finite, got inf$"):
-            cli.cmd_simulate(config, str(tmp_path / "out.csv"))
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("windows", [2, 3])
-    @pytest.mark.parametrize(
-        "replacements, step",
-        [
-            # 210 rows: step 105 is the first of the second window of 2.
-            ({"taux = 0.0": "taux = 1.06e99", "tauy = 0.0": "tauy = 5e98",
-              "t_end = 1.0": "t_end = 20.95"}, 105),
-            ({"taux = 0.0": "taux = 1e99", "tauy = 0.0": "tauy = 1e99",
-              "t_end = 1.0": "t_end = 20.95"}, 105),
-            ({"taux = 0.0": "taux = 1.06e99", "tauy = 0.0": "tauy = -1e99",
-              "t_end = 1.0": "t_end = 20.95"}, 105),
-            ({"mx = 0.5": "mx = 1e-12", "my = 0.3": "my = 1e-12", "mp = 0.2": "mp = 1e-12",
-              "yd0 = 0.0": "yd0 = 1.0", "dt = 0.1": "dt = 1e199",
-              "t_end = 1.0": "t_end = 1e200"}, 1),
-            # 12,001 rows: step 10,400 is in the last window and past a
-            # kernel round.
-            ({"mp = 0.2": "mp = 0.1", "tauy = 0.0": "tauy = 1e99", "dt = 0.1": "dt = 1e-3",
-              "t_end = 1.0": "t_end = 12.0"}, 10_400),
-            # x at rest out of range from the start.
-            ({"x0 = 0.0": "x0 = 2e100"}, 1),
-        ],
-        ids=["x-first", "y-first", "same-step", "y-nan", "y-past-a-round",
-             "x-starts-out"],
-    )
-    def test_divergence_step_does_not_depend_on_windows(
-        self, replacements, step, windows, cpus, monkeypatch, tmp_path
-    ):
-        text = TRANSLATION_ONLY
-        for old, new in replacements.items():
-            text = text.replace(old, new)
-        config = self.config(text)
-        message = f"state left [-1e+100, 1e+100] at step {step}"
-        assert str(self.one_process_error(config)) == message
-        monkeypatch.setattr(cli, "_processes", lambda units: windows)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        with pytest.raises(OverflowError) as raised:
-            cli.cmd_simulate(config, str(tmp_path / "out.csv"))
-        assert str(raised.value) == message
         assert list(tmp_path.iterdir()) == []
 
     def test_one_cpu_forks_nothing(self, fine_config, monkeypatch, tmp_path):
@@ -1049,7 +979,7 @@ class TestWindows:
             raise AssertionError("called on one usable CPU")
 
         expected = single_render(fine_config)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        split_work(monkeypatch, cpus=1)
         monkeypatch.setattr(cli, "_WINDOW_ROWS", 4096)
         monkeypatch.setattr(os, "fork", forbidden)
         monkeypatch.setattr(os, "sendfile", forbidden)
@@ -1060,10 +990,7 @@ class TestWindows:
     def test_later_window_divergence_exits_3_from_the_cli(self, tmp_path):
         # 131,001 rows, so two windows on any host; the state passes 1e100
         # at step 110,000, in the second.
-        cfg = tmp_path / "late.cfg"
-        cfg.write_text(
-            self.DIVERGES.replace("dt = 0.1", "dt = 1e-4").replace("t_end = 1.0", "t_end = 13.1")
-        )
+        cfg = config_file(tmp_path, config_text(self.DIVERGES, dt="1e-4", t_end="13.1"), "late")
         config = parse_config(cfg.read_bytes())
         message = str(self.one_process_error(config))
         assert message == "state left [-1e+100, 1e+100] at step 110000"
@@ -1082,8 +1009,7 @@ class TestWindows:
             fail_in_workers(monkeypatch)
         elif failure == "fork":
             request.getfixturevalue("failed_forks")
-        monkeypatch.setattr(cli, "_processes", lambda units: 4)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        split_work(monkeypatch, processes=4, cpus=cpus)
         fds = _open_fds()
         out = tmp_path / "fine.csv"
         assert cli.cmd_simulate(parse_config(fine_config.read_bytes()), str(out)) == 0
@@ -1099,8 +1025,7 @@ class TestWindows:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "_append_part", interrupted)
-        monkeypatch.setattr(cli, "_processes", lambda units: 4)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        split_work(monkeypatch, processes=4, cpus=3)
         fds = _open_fds()
         out = tmp_path / "fine.csv"
         out.write_text("previous contents\n")
@@ -1148,12 +1073,8 @@ class TestFlatMemory:
     @staticmethod
     def peak_rss_kb(tmp_path, rows):
         dt = 2.0**-10
-        cfg = tmp_path / f"{rows}.cfg"
-        cfg.write_text(
-            TRANSLATION_ONLY.replace("dt = 0.1", f"dt = {dt!r}").replace(
-                "t_end = 1.0", f"t_end = {(rows - 1) * dt!r}"
-            )
-        )
+        text = config_text(TRANSLATION_ONLY, dt=dt, t_end=(rows - 1) * dt)
+        cfg = config_file(tmp_path, text, str(rows))
         out = tmp_path / f"{rows}.csv"
         result = subprocess.run(
             [sys.executable, "-c", _PEAK_RSS_KB, sys.executable, "-m", "cellstage",
@@ -1185,12 +1106,8 @@ class TestFullDisk:
         # 315,001 rows of the reference scenario, about 56 MB of CSV. At 1 MB
         # the workers' part writes and then this process's fallback fail; at
         # 30 MB the parts are written and appending them fails.
-        cfg = tmp_path / "long.cfg"
-        cfg.write_text(
-            REFERENCE_CONFIG.read_text()
-            .replace("dt = 0.01", "dt = 0.0001")
-            .replace("t_end = 2.0", "t_end = 31.5")
-        )
+        text = config_text(REFERENCE_CONFIG.read_text(), dt="0.0001", t_end="31.5")
+        cfg = config_file(tmp_path, text, "long")
         out = tmp_path / "long.csv"
         out.write_text("previous contents\n")
 
@@ -1309,7 +1226,7 @@ class TestForkedVerify:
 
     @staticmethod
     def verify(samples, seed, workers, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_processes", lambda n: min(workers, n))
+        split_work(monkeypatch, processes=workers)
         code = cli.main(["verify", "--samples", str(samples), "--seed", str(seed)])
         return code, capsys.readouterr().out
 
@@ -1404,7 +1321,7 @@ class TestForkedVerify:
             def flush(self):
                 pass
 
-        monkeypatch.setattr(cli, "_processes", lambda n: 3)
+        split_work(monkeypatch, processes=3)
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         with pytest.raises(BrokenPipeError):
             cli.cmd_verify(40, 7)
@@ -1423,8 +1340,7 @@ class TestUsage:
         assert result.returncode == 2
 
     def test_in_process_main_matches_subprocess(self, tmp_path, capsys):
-        cfg = tmp_path / "t.cfg"
-        cfg.write_text(TRANSLATION_ONLY)
+        cfg = config_file(tmp_path, TRANSLATION_ONLY, "t")
         code = cli.main(["transform", "--config", str(cfg), "--x", "3", "--y", "4"])
         assert code == 0
         assert capsys.readouterr().out == "camera 4 6\nimage 4 6\n"

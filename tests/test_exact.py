@@ -39,14 +39,14 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cellstage import _backend, cli, dynamics, frames, propcheck
+from cellstage import _backend, cli, dynamics, frames, linalg2, propcheck
 from cellstage._rng import property_stream
 from cellstage.dynamics import MassParams, StageState, Wrench, simulate
 from cellstage.frames import Calibration, StagePoint, stage_to_image, transformation_matrix
 from cellstage.linalg2 import SINGULAR_EPS, Mat2, inverse2
 from cellstage.scenario import parse_config
 
-from conftest import REFERENCE_CONFIG
+from conftest import REFERENCE_CONFIG, split_work
 
 ULPS = 8
 
@@ -240,7 +240,7 @@ def test_cli_rows_are_the_exact_recurrence(
         parse_config(REFERENCE_CONFIG.read_bytes()),
         masses=m, initial=init, wrench=w, dt=dt, t_end=(steps + 0.5) * dt,
     )
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    split_work(monkeypatch, cpus=cpus)
     monkeypatch.setattr(cli, "_WINDOW_ROWS", window_rows)
     out = tmp_path / "path.csv"
     assert cli.cmd_simulate(config, str(out)) == 0
@@ -776,9 +776,201 @@ def test_one_rk4_step_multiplies_the_velocity_gap_by_the_stability_function():
     assert set(gaps) == {0}
 
 
+def changed(function, old: str, new: str):
+    """function built again from its source, with its one `old` made `new`,
+    on a copy of its module's globals."""
+    source = inspect.getsource(function)
+    assert source.count(old) == 1
+    namespace = dict(function.__globals__)
+    exec(source.replace(old, new), namespace)
+    return namespace[function.__name__]
+
+
 def test_a_changed_rk4_coefficient_breaks_the_identity():
-    source = inspect.getsource(_backend._rk4_axis)
-    assert source.count("2.0 * k3") == 1
-    namespace = dict(vars(_backend))
-    exec(source.replace("2.0 * k3", "3.0 * k3"), namespace)
-    assert any(rk4_velocity_gaps(namespace["_rk4_axis"]))
+    assert any(rk4_velocity_gaps(changed(_backend._rk4_axis, "2.0 * k3", "3.0 * k3")))
+
+
+# The frame, linalg and THM5 identities below run the unmodified library on
+# Lifted values, with `frames.math` replaced by the Pythagorean cos and sin
+# of a rational s, (1 - s^2)/(1 + s^2) and 2s/(1 + s^2); s = tan(alpha/2)
+# gives every angle but pi, which follows by continuity. Every entry of T(c)
+# is then a polynomial of degree <= 2 in s and 1 in fx (first row) or fy
+# (second row) over q = 1 + s^2, det T is D/q^2 with D of degree <= 4 in s
+# and 1 in fx and fy, and each entry of inverse2(T) is an entry of T times
+# q^2/D. Cleared of q and D, which no real s and positive scales make 0,
+# each gap is a polynomial whose degree in each variable its test names; it
+# vanishes on a product grid with one value more per variable, so it is the
+# zero polynomial, as for the RK4 step above. A gap affine in a group of
+# variables, such as a point and the offsets, vanishes everywhere once it
+# vanishes at an affine basis of that group: a point and the point plus
+# each unit vector.
+
+#: cos and sin of a rational parameter s, exactly.
+PYTHAGOREAN = types.SimpleNamespace(
+    cos=lambda s: (1 - s * s) / (1 + s * s), sin=lambda s: 2 * s / (1 + s * s)
+)
+
+#: Values of s, the scales and the effective masses; a test of degree d in
+#: a variable takes the first d + 1.
+S_GRID = [Lifted(k) for k in (0, Fraction(1, 2), 1, 3, Fraction(-2, 5))]
+FX_GRID = [Lifted(k) for k in (Fraction(1, 2), 3, Fraction(7, 4))]
+FY_GRID = [Lifted(k) for k in (2, Fraction(1, 3), 5)]
+X_EFFECTIVE_GRID = [Lifted(k) for k in (2, 3, Fraction(9, 2))]
+Y_EFFECTIVE_GRID = [Lifted(k) for k in (Fraction(1, 2), 1, Fraction(3, 2))]
+#: The plate mass of every MassParams below.
+PLATE = Lifted(Fraction(1, 4))
+
+
+def affine_basis(*base) -> list[tuple]:
+    """base and base plus each unit vector, as Lifted tuples."""
+    points = [base]
+    for i in range(len(base)):
+        points.append(tuple(v + (j == i) for j, v in enumerate(base)))
+    return [tuple(map(Lifted, point)) for point in points]
+
+
+def gaps(got, want) -> list:
+    """got - want, field by field. Each field of got must be a Fraction: a
+    float would mean some step left exact arithmetic."""
+    names = got.__slots__
+    assert all(isinstance(getattr(got, n), Fraction) for n in names), got
+    return [getattr(got, n) - getattr(want, n) for n in names]
+
+
+def masses(x_effective, y_effective) -> dynamics.MassParams:
+    """The MassParams with these effective masses, around PLATE."""
+    return dynamics.MassParams(x_effective - y_effective, y_effective - PLATE, PLATE)
+
+
+def calibration(s, fx, fy) -> Calibration:
+    """Calibration(s, 1, 1, fx, fy): the offsets enter no T(c)."""
+    return Calibration(s, Lifted(1), Lifted(1), fx, fy)
+
+
+@pytest.fixture
+def pythagorean(monkeypatch):
+    monkeypatch.setattr(frames, "math", PYTHAGOREAN)
+
+
+def frame_gaps():
+    """The gaps of image_to_stage(stage_to_image(p)) = p and of
+    camera_to_image(stage_to_camera(p)) = stage_to_image(p) at every point
+    (x, y, dx, dy) of an affine basis and 5 x 2 x 2 values of s, fx, fy."""
+    round_trip, composed = [], []
+    points = affine_basis(Fraction(1, 3), -2, Fraction(1, 2), Fraction(5, 4))
+    for s, fx, fy, (x, y, dx, dy) in itertools.product(
+        S_GRID, FX_GRID[:2], FY_GRID[:2], points
+    ):
+        c = Calibration(s, dx, dy, fx, fy)
+        p = StagePoint(x, y)
+        image = stage_to_image(p, c)
+        round_trip += gaps(frames.image_to_stage(image, c), p)
+        composed += gaps(frames.camera_to_image(frames.stage_to_camera(p, c), c), image)
+    return round_trip, composed
+
+
+def test_frame_maps_are_exact_inverses_and_compositions(pythagorean):
+    """`frames` as written gives image_to_stage(stage_to_image(p)) = p and
+    camera_to_image(stage_to_camera(p)) = stage_to_image(p) exactly, for
+    every point, offset, scale and angle (THM1-THM3).
+
+    Both gaps are affine in (x, y, dx, dy), since no two of them multiply:
+    5 basis points. The composition's gap, cleared of q, has degree <= 2 in
+    s and 1 in fx and fy. In the round trip each row of inverse2(T) meets
+    stage_to_image's values, an fy entry an fx value and an fx entry an fy
+    value: cleared of q and D, its gap has degree <= 4 in s and 1 in fx and
+    fy. So 5 x 2 x 2 values cover both: 100 points each.
+    """
+    round_trip, composed = frame_gaps()
+    assert len(round_trip) == len(composed) == 2 * 5 * 2 * 2 * 5
+    assert set(round_trip) == set(composed) == {0}
+
+
+def test_a_changed_affine_breaks_the_frame_identities(pythagorean, monkeypatch):
+    affine = changed(frames._affine, "a21 * x + a22", "a21 * x - a22")
+    monkeypatch.setattr(frames, "_affine", affine)
+    round_trip, composed = frame_gaps()
+    assert any(round_trip) and any(composed)
+
+
+def linalg_gaps():
+    """The gaps of determinant(T) = fx*fy and of A . inverse2(A) = IDENTITY
+    for A = T and A = mass_matrix(m) . T, over 5 x 3 x 3 values of s, fx, fy
+    and 3 x 3 of the effective masses."""
+    det, inverse = [], []
+    for s, fx, fy in itertools.product(S_GRID, FX_GRID, FY_GRID):
+        t = transformation_matrix(calibration(s, fx, fy))
+        det_t = linalg2.determinant(t)
+        assert isinstance(det_t, Fraction)
+        det.append(det_t - fx * fy)
+        products = [t]
+        for e1, e2 in itertools.product(X_EFFECTIVE_GRID, Y_EFFECTIVE_GRID):
+            products.append(linalg2.mat_mul(dynamics.mass_matrix(masses(e1, e2)), t))
+        for a in products:
+            inverse += gaps(linalg2.mat_mul(a, linalg2.inverse2(a)), linalg2.IDENTITY)
+    return det, inverse
+
+
+def test_determinant_and_inverse2_are_exact(pythagorean):
+    """`linalg2` as written gives determinant(T) = fx*fy and
+    A . inverse2(A) = IDENTITY for A = T and A = M . T exactly, for every
+    calibration and mass (FRAMES_DET_SCALE, LINALG_INVERSE_IDENTITY).
+
+    det T - fx*fy, cleared of q, has degree <= 4 in s and 1 in fx and fy.
+    Entry (1, 2) of T . inverse2(T) pairs T's first row with
+    inverse2(T)'s second column, whose entries carry fx too: cleared of D,
+    the gap has degree <= 4 in s and 2 in fx and in fy, so 5 x 3 x 3
+    values. M = diag(e1, e2), with e1 = x_effective and e2 = y_effective,
+    scales T's rows in the same way: degree <= 2 in e1 and in e2 too, 3 x 3
+    more values. A mass enters only through e1 and e2. 45 + 405 points.
+    """
+    det, inverse = linalg_gaps()
+    assert len(det) == 5 * 3 * 3
+    assert len(inverse) == 4 * 5 * 3 * 3 * (1 + 3 * 3)
+    assert set(det) == set(inverse) == {0}
+
+
+def test_a_changed_determinant_breaks_the_linalg_identities(pythagorean, monkeypatch):
+    monkeypatch.setattr(linalg2, "determinant", changed(linalg2.determinant, "a22 - m", "a22 + m"))
+    det, inverse = linalg_gaps()
+    assert any(det) and any(inverse)
+
+
+def image_dynamics_gaps(residual):
+    """residual(m, c, T . a, T . v, w) with w = (M . a + v, 0), so that the
+    stage state satisfies M . a + v = tau - fe_d, at every (a, v) and
+    (e1, e2) of an affine basis and 5 x 2 x 2 values of s, fx, fy."""
+    zero = Lifted(0)
+    out = []
+    for s, fx, fy, (e1, e2), (a1, a2, v1, v2) in itertools.product(
+        S_GRID, FX_GRID[:2], FY_GRID[:2], affine_basis(2, Fraction(1, 2)),
+        affine_basis(Fraction(-1, 2), 3, Fraction(2, 3), -1),
+    ):
+        c = calibration(s, fx, fy)
+        t = transformation_matrix(c)
+        w = dynamics.Wrench(e1 * a1 + v1, e2 * a2 + v2, zero, zero)
+        img_accel = linalg2.mat_vec_mul(t, linalg2.Vec2(a1, a2))
+        img_vel = linalg2.mat_vec_mul(t, linalg2.Vec2(v1, v2))
+        out += gaps(residual(masses(e1, e2), c, img_accel, img_vel, w), linalg2.Vec2(zero, zero))
+    return out
+
+
+def test_image_dynamics_residual_is_exactly_zero(pythagorean):
+    """`image_dynamics_residual` as written is exactly 0 at the image of
+    every stage state that satisfies the dynamics (THM5_IMAGE_DYNAMICS).
+
+    A state (a, v) satisfies them for net = M . a + v, so a and v are free.
+    The residual (M T^-1)(T a) + (T^-1)(T v) - net is affine in
+    (a1, a2, v1, v2), and its row i holds e_i alone, so it is affine in
+    (e1, e2): affine bases of 5 and 3 points. Each entry of T^-1 meets a
+    value of T a or T v of the other scale, so cleared of D the residual
+    has degree <= 4 in s and 1 in fx and fy: 5 x 2 x 2 values, 300 points.
+    """
+    residuals = image_dynamics_gaps(dynamics.image_dynamics_residual)
+    assert len(residuals) == 2 * 5 * 2 * 2 * 3 * 5
+    assert set(residuals) == {0}
+
+
+def test_a_changed_operator_breaks_the_image_dynamics_identity(pythagorean):
+    residual = changed(dynamics.image_dynamics_residual, "inertial + damping", "inertial - damping")
+    assert any(image_dynamics_gaps(residual))
