@@ -15,7 +15,9 @@ windows of at most 65,536 rows, so its memory does not grow with the
 horizon: it integrates each window from the last row of the one before
 while forked workers, at most one per usable CPU, render the windows
 already integrated (one process on one usable CPU and for outputs under
-two 4,096-row chunks). A render chunk of 1,024 rows formats any column
+two 4,096-row chunks). It holds a worker's window only until it forks
+it, and at most one 4,096-row kernel round of the rows it renders itself.
+A render chunk of 1,024 rows formats any column
 but time whose values all have the same bits once, into its row
 template. `verify` forks once per run, one worker per usable CPU
 (at most one per sample), splits every property's samples among them and
@@ -70,11 +72,12 @@ def _load_config(path: str) -> ScenarioConfig:
 _RENDER_ROWS = 1024
 
 #: Fewest rows worth a process of their own: outputs under two of these
-#: chunks fork nothing.
+#: chunks fork nothing. Also the rows this process integrates and renders
+#: at a time, one round of the kernel's `_ROUND_STEPS`.
 _CSV_CHUNK_ROWS = 4096
 
 #: Most rows in one window of `cellstage simulate`, the rows held in memory
-#: at a time.
+#: for a worker until it is forked.
 _WINDOW_ROWS = 65_536
 
 
@@ -192,10 +195,43 @@ def _render_window(handle, window: Trajectory, config: ScenarioConfig, start: in
         handle.write(render_trajectory_csv(window, config, first, first + _RENDER_ROWS))
 
 
-def _render_part(part, window: Trajectory, config: ScenarioConfig, start: int):
-    """_render_window into the open file part."""
+def _into_part(part, render, *args):
+    """render(handle, *args) with handle writing to the open file part;
+    returns what render returns."""
     with open(part.fileno(), "w", newline="\n", closefd=False) as handle:
-        _render_window(handle, window, config, start)
+        return render(handle, *args)
+
+
+def _stream_rows(handle, config: ScenarioConfig, state, start: int, stop: int, errors):
+    """Integrate rows start..stop-1 of the path and render them to handle,
+    one kernel round of _CSV_CHUNK_ROWS rows at a time.
+
+    state is (x, y, xdot, ydot) at row max(start - 1, 0); each round starts
+    one row early, so its time check covers the seam. errors is [time
+    error, row error], each None until the first DomainError of the time
+    checks or of the rendering, which is kept there. Once either is set
+    nothing more is rendered, and once a time error is, nothing more is
+    checked, but every round is integrated, so a later divergence still
+    raises its OverflowError. Returns the state at row stop - 1.
+    """
+    m, w, dt, t0 = config.masses, config.wrench, config.dt, config.initial.t
+    for begin in range(start, stop, _CSV_CHUNK_ROWS):
+        first = max(begin - 1, 0)
+        columns = _path(m, w, dt, state, first, min(begin + _CSV_CHUNK_ROWS, stop))
+        state = tuple(column[-1] for column in columns)
+        if errors[0] is None:
+            try:
+                rows = Trajectory(t0, dt, *columns, first=first)
+            except DomainError as exc:
+                errors[0] = exc
+        if not any(errors):
+            try:
+                _render_window(handle, rows, config, begin)
+            except DomainError as exc:
+                errors[1] = exc
+        # Freed before the next round is integrated.
+        columns = rows = None
+    return state
 
 
 def _append_part(fd: int, part: int) -> None:
@@ -214,8 +250,12 @@ _RENDERED_HERE = 0
 def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, directory: str):
     """Integrate and render the path in windows; see cmd_simulate.
 
-    Each part file is a `tempfile.TemporaryFile` in directory, which no
-    name in it shows, so it vanishes when closed or when the process dies.
+    Every row this process renders itself goes through _stream_rows: the
+    last window, into its part file when workers exist; every window on
+    one usable CPU; and the window of a worker that failed or could not be
+    forked. Each part file is a `tempfile.TemporaryFile` in directory,
+    which no name in it shows, so it vanishes when closed or when the
+    process dies.
     """
     m, init, w, dt = config.masses, config.initial, config.wrench, config.dt
     windows = max(_processes(rows // _CSV_CHUNK_ROWS), -(-rows // _WINDOW_ROWS))
@@ -225,75 +265,67 @@ def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, directory
     # [pid, part file, start, stop, state at row start - 1] of each window
     # being rendered into a part, in row order.
     shares = deque()
-    path_error = row_error = None
-
-    def window_at(state, start, stop):
-        first = max(start - 1, 0)
-        return Trajectory(init.t, dt, *_path(m, w, dt, state, first, stop), first=first)
+    # [time error, row error], as _stream_rows keeps them.
+    errors = [None, None]
 
     def append_oldest():
-        nonlocal row_error
         pid, part, start, stop, start_state = shares[0]
         rendered = pid == _RENDERED_HERE or (pid is not None and workers.wait(pid))
         shares.popleft()
         try:
-            if path_error is None and row_error is None:
+            if not any(errors):
                 if rendered:
                     handle.flush()
                     _append_part(fd, part.fileno())
                 else:
-                    window = window_at(start_state, start, stop)
-                    _render_window(handle, window, config, start)
-        except DomainError as exc:
-            row_error = exc
+                    _stream_rows(handle, config, start_state, start, stop, errors)
         finally:
             part.close()
 
     with _Workers() as workers:
         try:
             for start, stop in zip(bounds, bounds[1:]):
-                # Each window starts at the previous one's last row, so its
-                # time check covers the seam.
-                first = max(start - 1, 0)
-                columns = _path(m, w, dt, state, first, stop)
-                start_state, state = state, tuple(column[-1] for column in columns)
-                if path_error is None:
+                if not any(errors) and stop < rows and cpus > 1:
+                    # A worker's window: integrated whole here, rendered there.
+                    first = max(start - 1, 0)
+                    columns = _path(m, w, dt, state, first, stop)
+                    start_state, state = state, tuple(column[-1] for column in columns)
                     try:
                         window = Trajectory(init.t, dt, *columns, first=first)
                     except DomainError as exc:
-                        path_error = exc
-                # This process holds one window at a time.
-                columns = None
-                if path_error is not None or row_error is not None:
-                    continue
-                if stop < rows and cpus > 1:
+                        errors[0] = exc
+                        continue
+                    # This process holds the window only until it forks it.
+                    columns = None
                     while len(shares) >= cpus:
                         append_oldest()
                     part = tempfile.TemporaryFile(dir=directory, buffering=0)
                     shares.append([None, part, start, stop, start_state])
-                    shares[-1][0] = workers.spawn(_render_part, part, window, config, start)
-                elif shares:
+                    shares[-1][0] = workers.spawn(
+                        _into_part, part, _render_window, window, config, start
+                    )
+                    window = None
+                elif not any(errors) and shares:
+                    # The last window, into a part while the workers render.
                     part = tempfile.TemporaryFile(dir=directory, buffering=0)
-                    shares.append([None, part, start, stop, start_state])
-                    try:
-                        _render_part(part, window, config, start)
+                    shares.append([None, part, start, stop, state])
+                    found = [None, None]
+                    state = _into_part(part, _stream_rows, config, state, start, stop, found)
+                    # A bad row is found again, and kept, in its turn.
+                    errors[0] = found[0]
+                    if not any(found):
                         shares[-1][0] = _RENDERED_HERE
-                    except DomainError:
-                        pass  # rendered again, and raised, in its turn
                 else:
-                    try:
-                        _render_window(handle, window, config, start)
-                    except DomainError as exc:
-                        # A later divergence or bad time column still wins.
-                        row_error = exc
-                window = None
+                    # Into the output, or once an error is kept, only
+                    # integrated and checked.
+                    state = _stream_rows(handle, config, state, start, stop, errors)
             while shares:
                 append_oldest()
         finally:
             for _, part, *_ in shares:
                 part.close()
-    if path_error is not None or row_error is not None:
-        raise path_error or row_error
+    if any(errors):
+        raise errors[0] or errors[1]
 
 
 def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
@@ -308,7 +340,10 @@ def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
     The parts are appended in order, so the bytes do not depend on the
     number of windows. Only a window's start state is kept for it: a window
     whose worker failed or could not be forked is integrated and rendered
-    again here. Errors come in the order one process meets them: a divergence
+    again here. This process holds a worker's window only until it forks
+    it; the rows it renders itself it integrates and renders one kernel
+    round of _CSV_CHUNK_ROWS rows at a time, so it holds at most one round
+    of them. Errors come in the order one process meets them: a divergence
     first, then a bad time or state column, then the first bad row, and
     none is raised before the kernel has finished.
 

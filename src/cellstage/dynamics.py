@@ -15,10 +15,10 @@ RK4 kernel in `_backend` integrates one axis at a time. `simulate`
 integrates the system with classical fixed-step RK4 and returns a columnar
 `Trajectory`: the start time, the step, and the four state columns the
 kernel produced, with no per-sample objects unless a caller indexes or
-iterates it. It is one window of the path: `_path` integrates any row range
+iterates it. It can be any row range of the path: `_path` integrates one
 from the state of its first row, which is exact because an RK4 step depends
 only on (x, y, xdot, ydot), so `cellstage simulate` streams the same rows in
-windows.
+windows and kernel rounds.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat, tee
 from typing import Iterator
 
 from . import _backend
@@ -50,7 +50,8 @@ MIN_MASS = 1e-12
 #: Hard cap on the number of fixed steps of one simulate() call or one
 #: `cellstage simulate` run. Only the library still holds all four state
 #: columns, at about 200 bytes per step in memory, so 10**7 steps needs about
-#: 2 GB there. The CLI holds one window of rows at a time, so its memory does
+#: 2 GB there. The CLI holds a worker's window only until it forks it, and at
+#: most one kernel round of the rows it renders itself, so its memory does
 #: not grow with the horizon; at the cap its CSV takes about 1.9 GB of disk
 #: (about 187 bytes per row).
 MAX_STEPS = 10**7
@@ -124,7 +125,8 @@ class Trajectory:
     Sample i is row first + i of the path, at time t0 + (first + i)*dt with
     state (x[i], y[i], xdot[i], ydot[i]); first is 0 unless the trajectory
     is a window of a longer path. The columns are kept as given; a
-    StageState is built only when a sample is indexed or iterated. Every
+    StageState is built only when a sample is indexed or iterated, and the
+    time column only when asked for, or to name a bad time. Every
     column value must be finite and the time column must be finite and
     strictly increasing; an error names the first bad row of the path, the
     states before the times, and a pair that does not increase only once
@@ -153,28 +155,36 @@ class Trajectory:
         self.xdot = xdot
         self.ydot = ydot
         self.first = first
-        t = self.times()
+        # Compared pairwise as generated, so no time list is built unless a
+        # time is bad and the error must name its row.
+        earlier, later = tee(self._time_values())
+        next(later)
         if not (
-            math.isfinite(t[0])
-            and math.isfinite(t[-1])
-            and all(map(operator.lt, t, islice(t, 1, None)))
+            math.isfinite(t0 + first * dt)
+            and math.isfinite(t0 + (first + n - 1) * dt)
+            and all(map(operator.lt, earlier, later))
         ):
+            t = self.times()
             _require_finite_rows(("t",), (t,), first)
             a, b = next((a, b) for a, b in zip(t, islice(t, 1, None)) if not a < b)
             raise DomainError(f"timestamps must be strictly increasing: {a!r} -> {b!r}")
 
+    def _time_values(self, start: int = 0, stop: int | None = None) -> Iterator[float]:
+        """t0 + i*dt for the path rows i of samples start..stop-1, as
+        generated; `operator.add` and `operator.mul` give the same bits."""
+        first = self.first
+        rows = range(first, first + len(self.x))[start:stop]
+        return map(operator.add, repeat(self.t0), map(operator.mul, rows, repeat(self.dt)))
+
     def times(self, start: int = 0, stop: int | None = None) -> list[float]:
         """The time column, for samples start..stop-1 (default: all)."""
-        t0 = self.t0
-        dt = self.dt
-        first = self.first
-        return [t0 + i * dt for i in range(first, first + len(self.x))[start:stop]]
+        return list(self._time_values(start, stop))
 
     def __len__(self) -> int:
         return len(self.x)
 
     def __iter__(self) -> Iterator[StageState]:
-        return map(StageState, self.times(), self.x, self.y, self.xdot, self.ydot)
+        return map(StageState, self._time_values(), self.x, self.y, self.xdot, self.ydot)
 
     def __getitem__(self, index: int) -> StageState:
         i = range(len(self.x))[index]

@@ -935,6 +935,15 @@ class TestWindows:
             # at rows 25 and 26, in the last: the bad time still wins.
             (config_text(UNIT_STEP, taux="1e8", fx="1e300", t_end=2.0**53 + 6), 2.0**53 - 25,
              SAME_TIME),
+            # 12,001 rows: u is inf from row 6892 and the state passes 1e100
+            # at step 10,400, kernel rounds apart in the window this process
+            # renders itself at 1 and 2 windows: the divergence still wins.
+            (config_text(TRANSLATION_ONLY, taux="1e8", fx="3e299", mp="0.1", tauy="1e99",
+                         dt="1e-3", t_end="12.0"), None, DIVERGED.format(10_400)),
+            # 9,007 rows: u is inf from row 4995 and 2**53 is at rows 9000
+            # and 9001, kernel rounds apart in the same way: the bad time wins.
+            (config_text(UNIT_STEP, taux="1e4", fx="3.6e300", t_end=2.0**53 + 6), 2.0**53 - 9000,
+             SAME_TIME),
             # 30,001 rows: only a bad row.
             (WIDE_IMAGE, None, "u[27327] must be finite, got inf"),
             # 4 rows: only a bad time.
@@ -956,7 +965,8 @@ class TestWindows:
             (config_text(TRANSLATION_ONLY, x0="2e100"), None, DIVERGED.format(1)),
         ],
         ids=["late-divergence", "bad-u-then-divergence", "seam-time", "time-then-divergence",
-             "bad-u-then-time", "bad-u", "infinite-time", "x-first", "y-first", "same-step",
+             "bad-u-then-time", "bad-u-rounds-before-divergence", "bad-u-rounds-before-time",
+             "bad-u", "infinite-time", "x-first", "y-first", "same-step",
              "y-nan", "y-past-a-round", "x-starts-out"],
     )
     def test_error_is_the_one_process_error(
@@ -1069,9 +1079,13 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def _one_cpu() -> None:
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+
+
 class TestFlatMemory:
     @staticmethod
-    def peak_rss_kb(tmp_path, rows):
+    def peak_rss_kb(tmp_path, rows, preexec_fn=None):
         dt = 2.0**-10
         text = config_text(TRANSLATION_ONLY, dt=dt, t_end=(rows - 1) * dt)
         cfg = config_file(tmp_path, text, str(rows))
@@ -1080,6 +1094,7 @@ class TestFlatMemory:
             [sys.executable, "-c", _PEAK_RSS_KB, sys.executable, "-m", "cellstage",
              "simulate", "--config", str(cfg), "--out", str(out)],
             capture_output=True, text=True, env=_cli_env(), timeout=300,
+            preexec_fn=preexec_fn,
         )
         code, maxrss_kb = map(int, result.stdout.split())
         assert code == 0, result.stderr
@@ -1092,6 +1107,13 @@ class TestFlatMemory:
         short = self.peak_rss_kb(tmp_path, 2 * window)
         long = self.peak_rss_kb(tmp_path, 6 * window)
         assert abs(long - short) <= 2 * 1024, (short, long)
+
+    def test_one_cpu_peak_does_not_grow_with_the_window(self, tmp_path):
+        # On one usable CPU this process renders every row itself, one
+        # kernel round at a time: two whole windows peak as one round does.
+        one_round = self.peak_rss_kb(tmp_path, cli._CSV_CHUNK_ROWS, _one_cpu)
+        two_windows = self.peak_rss_kb(tmp_path, 2 * cli._WINDOW_ROWS, _one_cpu)
+        assert abs(two_windows - one_round) <= 2 * 1024, (one_round, two_windows)
 
 
 class TestFullDisk:

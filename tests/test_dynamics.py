@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -738,6 +739,17 @@ class TestTrajectory:
     def test_rejects_ragged_columns(self):
         with pytest.raises(DomainError):
             Trajectory(0.0, 0.1, [0.0, 1.0], [0.0], [0.0, 1.0], [0.0, 1.0])
+
+    def test_time_check_builds_no_time_list(self):
+        # A list of 100,000 times alone takes about 3.1 MB.
+        column = [0.0] * 100_000
+        tracemalloc.start()
+        try:
+            Trajectory(0.5, 1e-3, column, column, column, column, first=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_states_are_built_from_columns(self):
         traj = Trajectory(
