@@ -11,12 +11,13 @@ printed). All numbers are printed with 17 significant digits and a '.'
 decimal separator regardless of locale; identical inputs give
 byte-identical output. `simulate` replaces --out, through its links and
 keeping its mode, only with a complete CSV. It streams the path in
-windows of at most 65,536 rows, so its memory does not grow with the
-horizon: it integrates each window from the last row of the one before
-while forked workers, at most one per usable CPU, render the windows
-already integrated (one process on one usable CPU and for outputs under
-two 4,096-row chunks). It holds a worker's window only until it forks
-it, and at most one 4,096-row kernel round of the rows it renders itself.
+windows of at most 65,536 rows, each from the last row of the one before:
+forked workers, at most one per usable CPU, each integrate and render a
+window, while this process integrates through it again to reach the next
+window's start and renders the last window itself (one process on one
+usable CPU and for outputs under two 4,096-row chunks). Every process
+integrates, checks and renders one 4,096-row kernel round at a time and
+holds no more, so memory does not grow with the horizon or the window.
 A render chunk of 1,024 rows formats any column
 but time whose values all have the same bits once, into its row
 template. `verify` forks once per run, one worker per usable CPU
@@ -72,19 +73,19 @@ def _load_config(path: str) -> ScenarioConfig:
 _RENDER_ROWS = 1024
 
 #: Fewest rows worth a process of their own: outputs under two of these
-#: chunks fork nothing. Also the rows this process integrates and renders
-#: at a time, one round of the kernel's `_ROUND_STEPS`.
+#: chunks fork nothing. Also the rows integrated, checked and rendered at a
+#: time, one round of the kernel's `_ROUND_STEPS`.
 _CSV_CHUNK_ROWS = 4096
 
-#: Most rows in one window of `cellstage simulate`, the rows held in memory
-#: for a worker until it is forked.
+#: Most rows in one window of `cellstage simulate`, the rows one forked
+#: worker streams into its part file.
 _WINDOW_ROWS = 65_536
 
 
 def render_trajectory_csv(
     traj: Trajectory, config: ScenarioConfig, start: int = 0, stop: int | None = None
-) -> str:
-    """CSV text with stage, camera, and image coordinates per sample.
+) -> bytes:
+    """CSV bytes with stage, camera, and image coordinates per sample.
 
     Renders samples start..stop-1 (all by default); the header line leads
     when the first of them is row 0 of the path. A column other than time
@@ -102,16 +103,16 @@ def render_trajectory_csv(
     _require_finite_rows(("xc", "yc", "u", "v"), (xc, yc, u, v), traj.first + start)
     # Time is never folded: zip over no columns would give no rows.
     varying = [traj.times(start, stop)]
-    fields = ["%.17g"]
+    fields = [b"%.17g"]
     for column in (x, y, traj.xdot[rows], traj.ydot[rows], xc, yc, u, v):
         if _constant(column):
-            fields.append("%.17g" % column[0])
+            fields.append(b"%.17g" % column[0])
         else:
-            fields.append("%.17g")
+            fields.append(b"%.17g")
             varying.append(column)
-    row = ",".join(fields) + "\n"
-    body = "".join(map(row.__mod__, zip(*varying)))
-    return CSV_HEADER + "\n" + body if traj.first + start == 0 else body
+    row = b",".join(fields) + b"\n"
+    body = b"".join(map(row.__mod__, zip(*varying)))
+    return CSV_HEADER.encode() + b"\n" + body if traj.first + start == 0 else body
 
 
 def _constant(column) -> bool:
@@ -198,40 +199,68 @@ def _render_window(handle, window: Trajectory, config: ScenarioConfig, start: in
 def _into_part(part, render, *args):
     """render(handle, *args) with handle writing to the open file part;
     returns what render returns."""
-    with open(part.fileno(), "w", newline="\n", closefd=False) as handle:
+    with open(part.fileno(), "wb", closefd=False) as handle:
         return render(handle, *args)
 
 
-def _stream_rows(handle, config: ScenarioConfig, state, start: int, stop: int, errors):
-    """Integrate rows start..stop-1 of the path and render them to handle,
-    one kernel round of _CSV_CHUNK_ROWS rows at a time.
+def _checked_rounds(config: ScenarioConfig, state, start: int, stop: int, errors):
+    """Integrate rows start..stop-1 of the path one kernel round of
+    _CSV_CHUNK_ROWS rows at a time, and yield (begin, state, rows) for each
+    round: its first row, the state at its last row, and the round as a
+    Trajectory whose times passed their check, or None once a time error is
+    kept.
 
     state is (x, y, xdot, ydot) at row max(start - 1, 0); each round starts
-    one row early, so its time check covers the seam. errors is [time
-    error, row error], each None until the first DomainError of the time
-    checks or of the rendering, which is kept there. Once either is set
-    nothing more is rendered, and once a time error is, nothing more is
-    checked, but every round is integrated, so a later divergence still
-    raises its OverflowError. Returns the state at row stop - 1.
+    one row early, so its time check covers the seam. The first DomainError
+    of the time checks is kept in errors[0], and from then on nothing more
+    is checked, but every round is integrated, so a later divergence still
+    raises its OverflowError. A caller drops each round's rows before it
+    asks for the next, so at most one round is held.
     """
     m, w, dt, t0 = config.masses, config.wrench, config.dt, config.initial.t
     for begin in range(start, stop, _CSV_CHUNK_ROWS):
         first = max(begin - 1, 0)
         columns = _path(m, w, dt, state, first, min(begin + _CSV_CHUNK_ROWS, stop))
         state = tuple(column[-1] for column in columns)
+        rows = None
         if errors[0] is None:
             try:
                 rows = Trajectory(t0, dt, *columns, first=first)
             except DomainError as exc:
                 errors[0] = exc
+        yield begin, state, rows
+        # Freed before the next round is integrated.
+        columns = rows = None
+
+
+def _stream_rows(handle, config: ScenarioConfig, state, start: int, stop: int, errors):
+    """Integrate rows start..stop-1 of the path and render them to handle,
+    one round of _checked_rounds at a time.
+
+    errors is [time error, row error], each None until the first DomainError
+    of the time checks or of the rendering, which is kept there; once
+    either is set nothing more is rendered. Returns the state at row
+    stop - 1.
+    """
+    for begin, state, rows in _checked_rounds(config, state, start, stop, errors):
         if not any(errors):
             try:
                 _render_window(handle, rows, config, begin)
             except DomainError as exc:
                 errors[1] = exc
-        # Freed before the next round is integrated.
-        columns = rows = None
+        rows = None
     return state
+
+
+def _stream_part(part, config: ScenarioConfig, state, start: int, stop: int):
+    """A worker's call: _stream_rows into the open file part. It raises
+    the first error it kept, so the worker fails and this process streams
+    the window again in its turn, where the error takes its place in one
+    process's order."""
+    errors = [None, None]
+    _into_part(part, _stream_rows, config, state, start, stop, errors)
+    if any(errors):
+        raise errors[0] or errors[1]
 
 
 def _append_part(fd: int, part: int) -> None:
@@ -250,14 +279,18 @@ _RENDERED_HERE = 0
 def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, directory: str):
     """Integrate and render the path in windows; see cmd_simulate.
 
-    Every row this process renders itself goes through _stream_rows: the
-    last window, into its part file when workers exist; every window on
-    one usable CPU; and the window of a worker that failed or could not be
-    forked. Each part file is a `tempfile.TemporaryFile` in directory,
-    which no name in it shows, so it vanishes when closed or when the
-    process dies.
+    A worker is forked for each window but the last when more than one CPU
+    is usable; it streams the window into its part file with _stream_rows,
+    integrating its own rows from the window's start state. This process
+    then runs the same rounds through the window, keeping only the state
+    and checking the times in row order, and renders the rest through
+    _stream_rows: the last window, into its part file when workers exist;
+    every window on one usable CPU; and the window of a worker that failed
+    or could not be forked. Each part file is a `tempfile.TemporaryFile` in
+    directory, which no name in it shows, so it vanishes when closed or
+    when the process dies.
     """
-    m, init, w, dt = config.masses, config.initial, config.wrench, config.dt
+    init = config.initial
     windows = max(_processes(rows // _CSV_CHUNK_ROWS), -(-rows // _WINDOW_ROWS))
     bounds = [rows * i // windows for i in range(windows + 1)]
     cpus = _usable_cpus()
@@ -286,25 +319,15 @@ def _write_windows(handle, fd: int, config: ScenarioConfig, rows: int, directory
         try:
             for start, stop in zip(bounds, bounds[1:]):
                 if not any(errors) and stop < rows and cpus > 1:
-                    # A worker's window: integrated whole here, rendered there.
-                    first = max(start - 1, 0)
-                    columns = _path(m, w, dt, state, first, stop)
-                    start_state, state = state, tuple(column[-1] for column in columns)
-                    try:
-                        window = Trajectory(init.t, dt, *columns, first=first)
-                    except DomainError as exc:
-                        errors[0] = exc
-                        continue
-                    # This process holds the window only until it forks it.
-                    columns = None
+                    # A worker's window: integrated and rendered there, only
+                    # integrated and time-checked here.
                     while len(shares) >= cpus:
                         append_oldest()
                     part = tempfile.TemporaryFile(dir=directory, buffering=0)
-                    shares.append([None, part, start, stop, start_state])
-                    shares[-1][0] = workers.spawn(
-                        _into_part, part, _render_window, window, config, start
-                    )
-                    window = None
+                    shares.append([None, part, start, stop, state])
+                    shares[-1][0] = workers.spawn(_stream_part, part, config, state, start, stop)
+                    for _, state, checked in _checked_rounds(config, state, start, stop, errors):
+                        checked = None  # Dropped before the next round is integrated.
                 elif not any(errors) and shares:
                     # The last window, into a part while the workers render.
                     part = tempfile.TemporaryFile(dir=directory, buffering=0)
@@ -333,19 +356,20 @@ def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
 
     There are max(_processes(rows // _CSV_CHUNK_ROWS), ceil(rows /
     _WINDOW_ROWS)) equal windows, so outputs under two chunks are one
-    window. This process integrates each window from the previous one's
-    last row; a forked worker renders it into a part file, at most one live
-    worker per usable CPU, and this process renders the last window. On one
-    usable CPU this process renders every window itself and forks nothing.
-    The parts are appended in order, so the bytes do not depend on the
-    number of windows. Only a window's start state is kept for it: a window
-    whose worker failed or could not be forked is integrated and rendered
-    again here. This process holds a worker's window only until it forks
-    it; the rows it renders itself it integrates and renders one kernel
-    round of _CSV_CHUNK_ROWS rows at a time, so it holds at most one round
-    of them. Errors come in the order one process meets them: a divergence
-    first, then a bad time or state column, then the first bad row, and
-    none is raised before the kernel has finished.
+    window. A forked worker, at most one live per usable CPU, integrates
+    each window but the last from the previous one's last row and renders
+    it into a part file; this process integrates the same rows again, to
+    check their times in row order and reach the next window's start
+    state, and renders the last window itself. On one usable CPU this
+    process renders every window itself and forks nothing. The parts are
+    appended in order, so the bytes do not depend on the number of
+    windows. Only a window's start state is kept for it: a window whose
+    worker failed, met an error or could not be forked is integrated and
+    rendered again here, in its turn. Every process integrates, checks and
+    renders one kernel round of _CSV_CHUNK_ROWS rows at a time and holds at
+    most one round of rows. Errors come in the order one process meets
+    them: a divergence first, then a bad time or state column, then the
+    first bad row, and none is raised before the kernel has finished.
 
     The CSV goes where open(out_path, "w") would write it: through any
     symbolic links to their final target, which a temporary file
@@ -389,7 +413,7 @@ def cmd_simulate(config: ScenarioConfig, out_path: str) -> int:
     try:
         if mode is not None:
             os.fchmod(fd, mode & 0o777)
-        with open(fd, "w", newline="\n") as handle:
+        with open(fd, "wb") as handle:
             _write_windows(handle, fd, config, rows, directory)
         os.replace(tmp_path, target)
     except BaseException:

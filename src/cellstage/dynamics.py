@@ -48,12 +48,14 @@ from .linalg2 import (
 MIN_MASS = 1e-12
 
 #: Hard cap on the number of fixed steps of one simulate() call or one
-#: `cellstage simulate` run. Only the library still holds all four state
-#: columns, at about 200 bytes per step in memory, so 10**7 steps needs about
-#: 2 GB there. The CLI holds a worker's window only until it forks it, and at
-#: most one kernel round of the rows it renders itself, so its memory does
-#: not grow with the horizon; at the cap its CSV takes about 1.9 GB of disk
-#: (about 187 bytes per row).
+#: `cellstage simulate` run. Only the library holds all four state columns:
+#: up to about 160 bytes per step, so about 1.6 GB at the cap. (10**6 steps
+#: of configs/reference.cfg at dt = 1e-3 peaked at 141 MB from 15 MB, 132 B
+#: per step, since a settled velocity repeats one float object; with masses
+#: whose velocities never settle, at 168 MB.) Each process of the CLI holds
+#: at most one kernel round of rows, so its memory does not grow with the
+#: horizon; at the cap its CSV takes about 1.9 GB of disk (about 187 bytes
+#: per row).
 MAX_STEPS = 10**7
 
 
@@ -132,6 +134,23 @@ class Trajectory:
     states before the times, and a pair that does not increase only once
     every time is finite. So with dt <= 0, or dt below half an ulp of the
     times, an infinite time is named before an earlier such pair.
+
+    Strict increase is proved in O(1), with no pair compared, when the
+    first and last times t_a and t_b are finite and
+    dt > ulp(p) + ulp(max(|t_a|, |t_b|)), where p = fl(r*dt) for the row r
+    farthest from 0; otherwise the pairs are compared, which names a pair
+    that does not increase. The condition never holds for dt <= 0. Proof,
+    for dt > 0: if |r| >= 2**53, then |p| >= 2**53*dt, whose ulp exceeds
+    dt, so the condition fails; hence every row converts to float exactly.
+    fl is monotone and ulp grows with |x|, so each p_i = fl(i*dt) is off
+    from i*dt by at most ulp(p_i)/2 <= ulp(p)/2, and p_(i+1) - p_i >=
+    dt - ulp(p) > 0. So t_i = fl(t0 + p_i) does not decrease with i, lies
+    in [t_a, t_b], and is off from t0 + p_i by at most
+    ulp(max(|t_a|, |t_b|))/2: t_(i+1) - t_i >= dt - ulp(p) -
+    ulp(max(|t_a|, |t_b|)) > 0. The sum of the two ulps is computed in
+    floats, and dt, a float, exceeds the rounded sum only if it exceeds the
+    exact one: it is then at least the next float up, which is at or above
+    the exact sum and equals it only if that sum is a float, never rounded.
     """
 
     __slots__ = ("t0", "dt", "x", "y", "xdot", "ydot", "first")
@@ -155,14 +174,15 @@ class Trajectory:
         self.xdot = xdot
         self.ydot = ydot
         self.first = first
+        last = first + n - 1
         # Compared pairwise as generated, so no time list is built unless a
         # time is bad and the error must name its row.
         earlier, later = tee(self._time_values())
         next(later)
         if not (
             math.isfinite(t0 + first * dt)
-            and math.isfinite(t0 + (first + n - 1) * dt)
-            and all(map(operator.lt, earlier, later))
+            and math.isfinite(t0 + last * dt)
+            and (_time_order_proved(t0, dt, first, last) or all(map(operator.lt, earlier, later)))
         ):
             t = self.times()
             _require_finite_rows(("t",), (t,), first)
@@ -194,6 +214,13 @@ class Trajectory:
     @property
     def final(self) -> StageState:
         return self[-1]
+
+
+def _time_order_proved(t0: float, dt: float, first: int, last: int) -> bool:
+    """True if Trajectory's condition proves that t0 + i*dt strictly
+    increases over the rows i = first..last, their end times finite."""
+    t_max = max(abs(t0 + first * dt), abs(t0 + last * dt))
+    return dt > math.ulp(max(-first, last) * dt) + math.ulp(t_max)
 
 
 def mass_matrix(m: MassParams) -> Mat2:

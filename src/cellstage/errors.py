@@ -12,7 +12,8 @@ class SingularError(ArithmeticError):
 class ParseError(ValueError):
     """Scenario config text is malformed or violates an invariant.
 
-    Carries the offending line number (1-based) and, when known, the key name.
+    Carries the offending line number (1-based), or 0 when no one line is
+    at fault, as for a missing section, and, when known, the key name.
     """
 
     def __init__(self, message: str, line: int, key: str | None = None):

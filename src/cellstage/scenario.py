@@ -77,7 +77,11 @@ def parse_config(text: bytes | str) -> ScenarioConfig:
         try:
             text = text.decode("ascii")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"config must be ASCII text: {exc}", line=0) from exc
+            # The line of the first non-ASCII byte, counted as the parser
+            # counts lines: the text before it, with one character for it.
+            before = text[: exc.start].decode("ascii")
+            line = len((before + "?").splitlines())
+            raise ParseError(f"config must be ASCII text: {exc}", line) from exc
 
     values: dict[str, float] = {}
     lines: dict[str, int] = {}

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -7,6 +8,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellstage
 from cellstage import _backend, dynamics
@@ -662,6 +665,11 @@ class TestBenchmarkImportContract:
         assert callable(vars(StageState).get("__post_init__"))
 
 
+def float_of_bits(bits: int) -> float:
+    """The float whose IEEE 754 binary64 bits are the integer bits."""
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
 class TestTrajectory:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
@@ -750,6 +758,84 @@ class TestTrajectory:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @staticmethod
+    def proved_boundary(t0, first, last):
+        """The bits of a dt > 0 that Trajectory's O(1) order condition
+        accepts and whose next float down it rejects, found by bisection
+        over the bits of positive floats (which order as the floats do);
+        None if no dt up to 2**1000 ulps of t0 is accepted."""
+
+        def proved(bits):
+            return dynamics._time_order_proved(t0, float_of_bits(bits), first, last)
+
+        hi = math.ulp(t0)
+        for _ in range(1000):
+            if dynamics._time_order_proved(t0, hi, first, last):
+                break
+            hi *= 2.0
+        else:
+            return None
+        lo, hi = 1, struct.unpack("<q", struct.pack("<d", hi))[0]
+        assert not proved(lo)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if proved(mid) else (mid, hi)
+        return hi
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        exponent=st.integers(-60, 80),
+        sign=st.sampled_from([1.0, -1.0, 0.0]),
+        t0_ulps=st.integers(-3, 3),
+        first=st.one_of(
+            st.integers(-1000, 1000),
+            st.integers(2**48, 2**53 + 8),
+            st.integers(-(2**53) - 8, -(2**48)),
+        ),
+        n=st.integers(2, 48),
+        dt_ulps=st.integers(-4, 4),
+    )
+    def test_proved_order_is_never_wrong_near_its_bound(
+        self, exponent, sign, t0_ulps, first, n, dt_ulps
+    ):
+        # t0 near a power of two of either sign, or 0; dt at the condition's
+        # boundary and a few ulps either side. Wherever the condition accepts,
+        # the times, compared pair by pair, must strictly increase.
+        t0 = sign * 2.0**exponent
+        for _ in range(abs(t0_ulps)):
+            t0 = math.nextafter(t0, math.copysign(math.inf, t0_ulps))
+        last = first + n - 1
+        boundary = self.proved_boundary(t0, first, last)
+        if boundary is None:
+            dts = [math.ulp(t0) * 2.0**dt_ulps]
+        else:
+            dts = [float_of_bits(boundary), float_of_bits(boundary + dt_ulps)]
+        for dt in dts:
+            if dynamics._time_order_proved(t0, dt, first, last):
+                times = [t0 + i * dt for i in range(first, last + 1)]
+                assert all(map(math.isfinite, times))
+                assert all(a < b for a, b in zip(times, times[1:])), (t0, dt, first, n)
+
+    @pytest.mark.parametrize(
+        "t0, dt, first, n, proved",
+        [
+            # The CLI's rounds at the step cap, and the benchmark's step.
+            (0.0, 1e-3, MAX_STEPS - 4096, 4097, True),
+            (0.0, 1e-4, 0, 20_001, True),
+            (-3.5, 0.01, 0, 201, True),
+            # 2**53 at two rows, 1e20 + 1 rounding back, and rows from 2**52,
+            # where the ulp of i*dt reaches dt: all compared pair by pair.
+            (2.0**53 - 5, 1.0, 0, 12, False),
+            (1e20, 1.0, 0, 2, False),
+            (0.0, 2.0**-30, 2**52, 2, False),
+            # Exactly at the bound, ulp(1) + ulp(1*2**-52) = 2**-52 + 2**-104.
+            (1.0, 2.0**-52, 0, 2, False),
+            (1.0, 2.0**-51, 0, 2, True),
+        ],
+    )
+    def test_order_is_proved_where_the_cli_needs_it(self, t0, dt, first, n, proved):
+        assert dynamics._time_order_proved(t0, dt, first, first + n - 1) is proved
 
     def test_states_are_built_from_columns(self):
         traj = Trajectory(

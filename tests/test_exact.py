@@ -1045,3 +1045,52 @@ def test_worst_image_dynamics_draw_found_is_within_its_tolerance():
     )
     violation = residual.inf_norm() / (1.0 + w.inf_norm())
     assert violation < propcheck.PROPERTIES["THM5_IMAGE_DYNAMICS"][0]
+
+
+# The THM4 closed forms, run unmodified on sympy symbols with `dynamics.math`
+# replaced by a namespace holding sympy.exp: each identity below then holds
+# as an identity of expressions, for every mass, state, input and time.
+
+
+@pytest.fixture
+def symbolic_exp(monkeypatch):
+    import sympy
+
+    monkeypatch.setattr(dynamics, "math", types.SimpleNamespace(exp=sympy.exp))
+    return sympy
+
+
+def closed_form_gaps(sympy, homogeneous_axis, constant_input_axis) -> list:
+    """Each THM4 identity of the two closed-form axes, as an expression
+    that simplifies to 0 when the identity holds."""
+    m = sympy.Symbol("M", positive=True)
+    t = sympy.Symbol("t", nonnegative=True)
+    pos0, vel0, c = sympy.symbols("pos0 vel0 c", real=True)
+    [pos], [vel], [acc] = homogeneous_axis(m, pos0, vel0, [t])
+    [cpos], [cvel] = constant_input_axis(m, pos0, vel0, c, [t])
+    gaps = [
+        pos.diff(t) - vel, vel.diff(t) - acc, m * acc + vel,
+        pos.subs(t, 0) - pos0, vel.subs(t, 0) - vel0,
+        cpos.diff(t) - cvel, m * cvel.diff(t) + cvel - c,
+        cpos.subs(t, 0) - pos0, cvel.subs(t, 0) - vel0,
+        cpos.subs(c, 0) - pos, cvel.subs(c, 0) - vel,
+    ]
+    return [sympy.simplify(gap) for gap in gaps]
+
+
+def test_closed_forms_solve_the_equation_of_motion(symbolic_exp):
+    """`_homogeneous_axis` and `_constant_input_axis` as written solve
+    M*vel' + vel = c with pos' = vel from (pos0, vel0) at t = 0, for c = 0
+    (with acc = vel') and for any c, and the second reduces to the first at
+    c = 0: THM4_HOMOG_SOLUTION, THM4_DERIVATIVE_FD and
+    THM4_CONSTANT_INPUT_REDUCTION hold in exact arithmetic, and their
+    tolerances cover only round-off and truncation."""
+    gaps = closed_form_gaps(
+        symbolic_exp, dynamics._homogeneous_axis, dynamics._constant_input_axis
+    )
+    assert gaps == [0] * 11
+
+
+def test_a_changed_closed_form_coefficient_breaks_the_identities(symbolic_exp):
+    constant_input_axis = changed(dynamics._constant_input_axis, "c * t + mg", "0.5 * c * t + mg")
+    assert any(closed_form_gaps(symbolic_exp, dynamics._homogeneous_axis, constant_input_axis))

@@ -157,8 +157,20 @@ class TestParseErrors:
         self.expect(VALID.replace("[masses]", "[masses"), "malformed section header")
 
     def test_non_ascii_bytes(self):
-        with pytest.raises(ParseError, match="ASCII"):
-            parse_config(VALID.encode("utf-16"))
+        # A UTF-16 byte order mark leads line 1.
+        assert self.expect(VALID.encode("utf-16"), "^line 1: .*ASCII", line=1).key is None
+        # Byte 373 of the reference config, the d of "dt = 0.01", is on line 28.
+        data = bytearray(REFERENCE_CONFIG.read_bytes())
+        assert data[:373].count(b"\n") == 27 and data[373:374] == b"d"
+        data[373] = 0xB2
+        self.expect(bytes(data), "^line 28: config must be ASCII text: .* position 373", line=28)
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_non_ascii_byte_is_named_by_the_parsers_line(self, ending):
+        # The byte on line 3 (first in it, and after a blank line) under
+        # each line ending splitlines takes.
+        text = "[masses]" + ending + ending + "\u00b5x = 0.5" + ending
+        self.expect(text.encode("latin-1"), "^line 3: ", line=3)
 
     def test_non_positive_dt(self):
         self.expect(VALID.replace("dt = 1e-2", "dt = 0"), "dt must be positive")
